@@ -14,20 +14,14 @@ import sys
 import numpy as np
 
 from . import datagen
-from .boosting import Ensemble, OneVsOneModel, ensemble_predict, one_vs_one_predict
+from .boosting import Ensemble, OneVsOneModel
 from .graphs import save_graph_json
 from .measures import LabeledDataset, load_dataset_jsonl, save_dataset_jsonl, Measure
 from .metrics import evaluate
 from .ph import cech_filtration, persistence, rips_filtration
 from .ph.bottleneck import bottleneck
 from .ph.diagrams import load_diagrams_jsonl, save_diagrams_jsonl
-from .recipes import (
-    RECIPES,
-    build_ball_grid,
-    diagrams_to_feature_measure,
-    make_cached_learner,
-    run_experiment,
-)
+from .recipes import RECIPES, classifier_predict, diagrams_to_feature_measure, fit_classifier, run_experiment
 
 
 def _gen(args) -> int:
@@ -97,33 +91,22 @@ def _features(path, dims, truncation):
 
 
 def _train(args) -> int:
-    from .boosting import adaboost_fit, one_vs_one_fit
-
     meas, labels = _features(args.input, args.dims, args.truncation)
     if any(y is None for y in labels):
         raise ValueError("training diagrams must carry a label field")
     data = LabeledDataset(tuple(meas), np.array(labels))
-    grid = build_ball_grid(data, args.n_centers, tuple(args.radius_quantiles), args.seed + 7)
-    learner = make_cached_learner(grid)
-    if len(data.label_set) > 2:
-        model = one_vs_one_fit(data, args.rounds, learner, seed=args.seed + 11)
-        obj = {"kind": "one-vs-one", **model.to_json()}
-    else:
-        ens = adaboost_fit(data, args.rounds, learner, seed=args.seed + 11)
-        obj = {"kind": "binary", **ens.to_json()}
+    model = fit_classifier(data, args.n_centers, args.radius_quantiles, args.rounds, args.seed)
+    kind = "one-vs-one" if isinstance(model, OneVsOneModel) else "binary"
     with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump({"kind": kind, **model.to_json()}, fh, indent=2)
     return 0
 
 
 def _load_model(path):
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("kind") == "one-vs-one":
-        model = OneVsOneModel.from_json(obj)
-        return lambda mu: one_vs_one_predict(model, mu)
-    ens = Ensemble.from_json(obj)
-    return lambda mu: ensemble_predict(ens, mu)
+    model = OneVsOneModel.from_json(obj) if obj.get("kind") == "one-vs-one" else Ensemble.from_json(obj)
+    return lambda mu: classifier_predict(model, mu)
 
 
 def _predict(args) -> int:
@@ -239,22 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dim", type=int, default=1)
     b.set_defaults(func=_bottleneck)
 
-    r = sub.add_parser("recipe", help="run a bundled experiment recipe")
-    r.add_argument("name", choices=sorted(RECIPES))
-    r.add_argument("--config", default=None)
-    r.add_argument("--outdir", default=None)
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--workers", type=int, default=1)
-    r.set_defaults(func=_recipe)
-
-    for alias in ("limit-check", "rademacher"):
-        a = sub.add_parser(alias, help=f"shortcut for `recipe` on the {alias} study")
-        a.add_argument("--config", default=None)
-        a.add_argument("--outdir", default=None)
-        a.add_argument("--seed", type=int, default=None)
-        a.add_argument("--workers", type=int, default=1)
-        name = "limit-check" if alias == "limit-check" else "rademacher-scaling"
-        a.set_defaults(func=_recipe, name=name)
+    for command, recipe in (("recipe", None), ("limit-check", "limit-check"), ("rademacher", "rademacher-scaling")):
+        if recipe is None:
+            r = sub.add_parser(command, help="run a bundled experiment recipe")
+            r.add_argument("name", choices=sorted(RECIPES))
+        else:
+            r = sub.add_parser(command, help=f"shortcut for `recipe {recipe}`")
+            r.set_defaults(name=recipe)
+        r.add_argument("--config", default=None)
+        r.add_argument("--outdir", default=None)
+        r.add_argument("--seed", type=int, default=None)
+        r.add_argument("--workers", type=int, default=1)
+        r.set_defaults(func=_recipe)
 
     return p
 

@@ -93,12 +93,6 @@ def _ball_volume(d: int, radius: float) -> float:
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
 
 
-def _h_indicator(points: np.ndarray, r: float, k: int) -> int:
-    """1 iff the k-th Betti number of the Cech complex of k+2 points is 1."""
-    fc = cech_filtration(points, max_dim=min(k + 1, 3), max_value=float("inf"))
-    return int(betti_oracle(fc, r, k) == 1)
-
-
 def mu_k_montecarlo(
     density_moment: float, k: int, d: int, rect: Rectangle, n_mc: int, seed: int
 ):
@@ -129,7 +123,9 @@ def mu_k_montecarlo(
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         y = g * (radius * rng.uniform(size=(k + 1, 1)) ** (1.0 / d))
         pts = np.vstack([np.zeros((1, d)), y])
-        hs = {r: _h_indicator(pts, r, k) for r in (rect.s, rect.t, rect.u, rect.v)}
+        # one complex per sample; each h is 1 iff its k-th Betti number at that scale is 1
+        fc = cech_filtration(pts, max_dim=min(k + 1, 3), max_value=float("inf"))
+        hs = {r: int(betti_oracle(fc, r, k) == 1) for r in (rect.s, rect.t, rect.u, rect.v)}
         samples[i] = (
             hs[rect.t] * hs[rect.u]
             - hs[rect.t] * hs[rect.v]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
@@ -19,6 +20,8 @@ import numpy as np
 
 from . import datagen
 from .boosting import (
+    Ensemble,
+    OneVsOneModel,
     adaboost_fit,
     ensemble_predict,
     one_vs_one_fit,
@@ -107,23 +110,25 @@ def compute_diagrams(clouds, max_dim, max_value, workers=1):
     return [_cloud_diagrams(j) for j in jobs]
 
 
-def diagrams_to_feature_measure(dgms, dims, truncation) -> Measure:
-    """Rotated diagram points of the selected dims as one planar measure.
+def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=None) -> Measure:
+    """Rotated diagram points of the selected dims, times `scale`, as one measure.
 
-    With several dims, the homology degree rides along as a third
-    coordinate so regions can tell the diagrams apart.
+    With several channels (several dims, or the point cloud `raw` next to
+    the diagrams) each rides on its own plane of a trailing tag coordinate,
+    so regions can tell them apart: dim * gap for a diagram, 2 * gap for
+    the raw cloud, which comes first.
     """
-    tag = len(dims) > 1
-    feats = []
+    tag = len(dims) > 1 or raw is not None
+    feats = [] if raw is None else [np.column_stack([raw, np.full(len(raw), 2.0 * gap)])]
     for dg in dgms:
         if dg.dim not in dims:
             continue
         m = diagram_to_measure(dg, truncation=truncation, rotate=True)
         if len(m) == 0:
             continue
-        pts = m.points
+        pts = m.points * scale
         if tag:
-            pts = np.column_stack([pts, np.full(len(pts), float(dg.dim))])
+            pts = np.column_stack([pts, np.full(len(pts), float(dg.dim) * gap)])
         feats.append(pts)
     d = 3 if tag else 2
     return Measure(np.vstack(feats) if feats else np.zeros((0, d)))
@@ -143,17 +148,33 @@ def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) ->
 
 
 def make_cached_learner(grid: GridSpec):
-    """Exhaustive-search learner that reuses the region-mass matrix per dataset."""
-    cache = {}
+    """Exhaustive-search learner that reuses the region-mass matrix of the
+    last dataset it saw; AdaBoost passes the same dataset every round."""
+    last = [None, None]  # dataset, its mass matrix
 
     def learner(data, w, rng):
-        key = id(data)
-        hit = cache.get(key)
-        if hit is None or hit[0] is not data:
-            cache[key] = (data, mass_matrix(data, grid.regions))
-        return exhaustive_search(data, grid, w, masses=cache[key][1])
+        if last[0] is not data:
+            last[:] = data, mass_matrix(data, grid.regions)
+        return exhaustive_search(data, grid, w, masses=last[1])
 
     return learner
+
+
+def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, seed):
+    """Boosted ball-mass classifier: one AdaBoost ensemble for two classes,
+    one-vs-one ensembles for more."""
+    grid = build_ball_grid(train, n_centers, radius_quantiles, seed + 7)
+    learner = make_cached_learner(grid)
+    if len(train.label_set) > 2:
+        return one_vs_one_fit(train, rounds, learner, seed=seed + 11)
+    return adaboost_fit(train, rounds, learner, seed=seed + 11)
+
+
+def classifier_predict(model, mu: Measure) -> int:
+    """Label predicted by a `fit_classifier` model of either kind."""
+    if isinstance(model, OneVsOneModel):
+        return one_vs_one_predict(model, mu)
+    return ensemble_predict(model, mu)
 
 
 def emit_rectangle_trace(ensemble, path) -> None:
@@ -181,79 +202,80 @@ def _save_cloud_diagrams(per_cloud, labels, path):
     save_diagrams_jsonl(flat, path, metas)
 
 
-def _binary_pipeline(cfg, outdir, workers, gen_fn):
-    """generate -> diagrams -> features -> boost -> evaluate for a 2-class task.
+def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None, featurize=None):
+    """generate -> diagrams -> features -> boost -> evaluate, shared by every
+    classification recipe.
 
-    gen_fn(class_id, index, seed) -> point cloud.  Returns the report plus
-    the accuracy of the first weak classifier alone.
+    generate(class_id, index, seed) makes one item; per class the first
+    n_train items train and the next n_test test.  diagrams(items, workers)
+    gives each item's diagrams, by default the Čech diagrams of
+    cfg["filtration"]; featurize(item, diagrams) gives its feature measure,
+    by default that section's dims and truncation.  Returns the report,
+    plus for two classes the accuracy of the first weak classifier alone.
     """
-    import os
-
+    outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     seed = cfg["seeds"]["base"]
-    n_train, n_test = cfg["data"]["n_train"], cfg["data"]["n_test"]
-    half_tr, half_te = n_train // 2, n_test // 2
+    flt = cfg["filtration"]
+    if diagrams is None:
+        diagrams = lambda clouds, w: compute_diagrams(clouds, flt["max_dim"], flt["max_value"], w)
+    if featurize is None:
+        featurize = lambda _, dgms: diagrams_to_feature_measure(dgms, tuple(flt["dims"]), flt["truncation"])
+    per = n_train + n_test
     timings = {}
 
     t0 = time.perf_counter()
-    clouds, labels = [], []
-    for c in (0, 1):
-        for j in range(half_tr + half_te):
-            clouds.append(gen_fn(c, j, seed + 100003 * c + 13 * j))
-            labels.append(c)
-    labels = np.array(labels)
+    items = [generate(c, j, seed + 100003 * c + 13 * j) for c in range(n_classes) for j in range(per)]
+    labels = np.repeat(np.arange(n_classes), per)
     timings["generate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    per_cloud = compute_diagrams(
-        clouds, cfg["filtration"]["max_dim"], cfg["filtration"]["max_value"], workers
-    )
+    per_item = diagrams(items, workers)
     timings["diagrams"] = time.perf_counter() - t0
 
-    dims = tuple(cfg["filtration"]["dims"])
-    trunc = cfg["filtration"]["truncation"]
-    meas = [diagrams_to_feature_measure(d, dims, trunc) for d in per_cloud]
-    idx_tr = [i for c in (0, 1) for i in range(c * (half_tr + half_te), c * (half_tr + half_te) + half_tr)]
-    idx_te = [i for c in (0, 1) for i in range(c * (half_tr + half_te) + half_tr, (c + 1) * (half_tr + half_te))]
-    train = LabeledDataset(tuple(meas[i] for i in idx_tr), labels[idx_tr])
-    test = LabeledDataset(tuple(meas[i] for i in idx_te), labels[idx_te])
-    _save_cloud_diagrams([per_cloud[i] for i in idx_tr], labels[idx_tr], f"{outdir}/train_diagrams.jsonl")
-    _save_cloud_diagrams([per_cloud[i] for i in idx_te], labels[idx_te], f"{outdir}/test_diagrams.jsonl")
+    meas = [featurize(x, dgms) for x, dgms in zip(items, per_item)]
+    splits = {
+        "train": [c * per + j for c in range(n_classes) for j in range(n_train)],
+        "test": [c * per + n_train + j for c in range(n_classes) for j in range(n_test)],
+    }
+    for name, idx in splits.items():
+        _save_cloud_diagrams([per_item[i] for i in idx], labels[idx], f"{outdir}/{name}_diagrams.jsonl")
+    train, test = (LabeledDataset(tuple(meas[i] for i in idx), labels[idx]) for idx in splits.values())
 
     t0 = time.perf_counter()
-    grid = build_ball_grid(
-        train, cfg["learner"]["n_centers"], cfg["learner"]["radius_quantiles"], seed + 7
-    )
-    learner = make_cached_learner(grid)
-    ens = adaboost_fit(train, cfg["boosting"]["rounds"], learner, seed=seed + 11)
+    lrn = cfg["learner"]
+    model = fit_classifier(train, lrn["n_centers"], lrn["radius_quantiles"], cfg["boosting"]["rounds"], seed)
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    preds = [ensemble_predict(ens, m) for m in test.measures]
-    h0 = ens.stages[0][0]
-    lo, hi = ens.labels
-    weak_preds = [hi if h0.predict(m) == 1 else lo for m in test.measures]
-    weak_acc = float(np.mean(np.array(weak_preds) == test.labels))
+    preds = [classifier_predict(model, m) for m in test.measures]
+    binary = isinstance(model, Ensemble)
+    if binary:
+        h0 = model.stages[0][0]
+        lo, hi = model.labels
+        weak_preds = [hi if h0.predict(m) == 1 else lo for m in test.measures]
+        weak_acc = float(np.mean(np.array(weak_preds) == test.labels))
     timings["evaluate"] = time.perf_counter() - t0
 
     report = evaluate(
         test.labels,
         preds,
-        labels=(0, 1),
-        staged_errors=staged_training_error(ens, train),
+        labels=tuple(range(n_classes)),
+        staged_errors=staged_training_error(model, train) if binary else (),
         timings=timings,
     )
     with open(f"{outdir}/model.json", "w") as fh:
-        json.dump(ens.to_json(), fh, indent=2)
-    emit_rectangle_trace(ens, f"{outdir}/rectangles.csv")
+        json.dump(model.to_json(), fh, indent=2)
+    emit_rectangle_trace(model if binary else model.models[min(model.models)], f"{outdir}/rectangles.csv")
     obj = report.to_json()
     obj.pop("timings")
-    obj["weak_accuracy"] = weak_acc
+    if binary:
+        obj["weak_accuracy"] = weak_acc
     with open(f"{outdir}/metrics.json", "w") as fh:
         json.dump(obj, fh, indent=2)
     with open(f"{outdir}/timings.json", "w") as fh:
         json.dump(timings, fh, indent=2)
-    return report, weak_acc
+    return (report, weak_acc) if binary else report
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +294,14 @@ def ppp_vs_gpp_defaults():
 
 
 def run_ppp_vs_gpp(cfg: RunConfig, workers=1):
-    radius = cfg["data"]["radius"]
-    mean_count = cfg["data"]["mean_count"]
+    d = cfg["data"]
 
     def gen(c, j, s):
         if c == 0:
-            return datagen.sample_ppp_disk(mean_count, radius, s)
-        return datagen.sample_ginibre(mean_count, s, radius)
+            return datagen.sample_ppp_disk(d["mean_count"], d["radius"], s)
+        return datagen.sample_ginibre(d["mean_count"], s, d["radius"])
 
-    return _binary_pipeline(cfg, cfg["output"]["dir"], workers, gen)
+    return _classify(cfg, 2, d["n_train"] // 2, d["n_test"] // 2, gen, workers)
 
 
 def torus_vs_sphere_defaults():
@@ -322,7 +343,7 @@ def run_torus_vs_sphere(cfg: RunConfig, workers=1):
             pts = datagen.add_gaussian_noise(pts, d["noise"], s + 1)
         return pts
 
-    return _binary_pipeline(cfg, cfg["output"]["dir"], workers, gen)
+    return _classify(cfg, 2, d["n_train"] // 2, d["n_test"] // 2, gen, workers)
 
 
 def _thin_cloud(pts, res, cap):
@@ -363,82 +384,28 @@ def orbit_defaults():
 
 
 def run_orbit_5class(cfg: RunConfig, workers=1):
-    import os
-
-    outdir = cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
-    d, seed = cfg["data"], cfg["seeds"]["base"]
+    d, flt, feat = cfg["data"], cfg["filtration"], cfg["features"]
     rhos = tuple(d["rhos"])
-    n_tr, n_te = d["n_train_per_class"], d["n_test_per_class"]
-    timings = {}
 
-    t0 = time.perf_counter()
-    clouds, labels = [], []
-    for ci, rho in enumerate(rhos):
-        for j in range(n_tr + n_te):
-            pts = datagen.orbit(rho, d["orbit_length"], seed + 100003 * ci + 13 * j)
-            clouds.append(_thin_cloud(pts, d["thin_resolution"], d["thin_cap"]))
-            labels.append(ci)
-    labels = np.array(labels)
-    timings["generate"] = time.perf_counter() - t0
+    def gen(c, j, s):
+        pts = datagen.orbit(rhos[c], d["orbit_length"], s)
+        return _thin_cloud(pts, d["thin_resolution"], d["thin_cap"])
 
-    t0 = time.perf_counter()
-    per_cloud = compute_diagrams(
-        clouds, cfg["filtration"]["max_dim"], cfg["filtration"]["max_value"], workers
+    def featurize(pts, dgms):
+        # at 300-point orbits the raw occupancy pattern carries most of the
+        # class signal and the diagrams refine it
+        return diagrams_to_feature_measure(
+            dgms,
+            tuple(flt["dims"]),
+            flt["truncation"],
+            scale=feat["diagram_scale"],
+            gap=feat["channel_gap"],
+            raw=pts if feat["include_raw"] else None,
+        )
+
+    return _classify(
+        cfg, len(rhos), d["n_train_per_class"], d["n_test_per_class"], gen, workers, featurize=featurize
     )
-    timings["diagrams"] = time.perf_counter() - t0
-
-    dims, trunc = tuple(cfg["filtration"]["dims"]), cfg["filtration"]["truncation"]
-    feat = cfg["features"]
-    gap, dscale = feat["channel_gap"], feat["diagram_scale"]
-
-    def hybrid(pts, dgms):
-        # diagram channels plus (optionally) the raw orbit cloud, each on its
-        # own channel-tag plane; at 300-point orbits the raw occupancy pattern
-        # carries most of the class signal and the diagrams refine it
-        chans = []
-        if feat["include_raw"]:
-            chans.append(np.column_stack([pts, np.full(len(pts), 2.0 * gap)]))
-        for dg in dgms:
-            if dg.dim not in dims:
-                continue
-            m = diagram_to_measure(dg, truncation=trunc, rotate=True)
-            if len(m):
-                chans.append(
-                    np.column_stack([m.points * dscale, np.full(len(m), float(dg.dim) * gap)])
-                )
-        return Measure(np.vstack(chans) if chans else np.zeros((0, 3)))
-
-    meas = [hybrid(c, x) for c, x in zip(clouds, per_cloud)]
-    per = n_tr + n_te
-    idx_tr = [ci * per + j for ci in range(len(rhos)) for j in range(n_tr)]
-    idx_te = [ci * per + n_tr + j for ci in range(len(rhos)) for j in range(n_te)]
-    train = LabeledDataset(tuple(meas[i] for i in idx_tr), labels[idx_tr])
-    test = LabeledDataset(tuple(meas[i] for i in idx_te), labels[idx_te])
-    _save_cloud_diagrams([per_cloud[i] for i in idx_tr], labels[idx_tr], f"{outdir}/train_diagrams.jsonl")
-    _save_cloud_diagrams([per_cloud[i] for i in idx_te], labels[idx_te], f"{outdir}/test_diagrams.jsonl")
-
-    t0 = time.perf_counter()
-    grid = build_ball_grid(
-        train, cfg["learner"]["n_centers"], cfg["learner"]["radius_quantiles"], seed + 7
-    )
-    learner = make_cached_learner(grid)
-    model = one_vs_one_fit(train, cfg["boosting"]["rounds"], learner, seed=seed + 11)
-    timings["train"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    preds = [one_vs_one_predict(model, m) for m in test.measures]
-    timings["evaluate"] = time.perf_counter() - t0
-
-    report = evaluate(test.labels, preds, labels=tuple(range(len(rhos))), timings=timings)
-    with open(f"{outdir}/model.json", "w") as fh:
-        json.dump(model.to_json(), fh, indent=2)
-    first_pair = min(model.models)
-    emit_rectangle_trace(model.models[first_pair], f"{outdir}/rectangles.csv")
-    report.save(f"{outdir}/metrics.json", include_timings=False)
-    with open(f"{outdir}/timings.json", "w") as fh:
-        json.dump(timings, fh, indent=2)
-    return report
 
 
 def graph_hks_defaults():
@@ -478,61 +445,26 @@ def _ring_of_cliques(n_cliques, clique_size) -> Graph:
 
 
 def run_graph_hks_demo(cfg: RunConfig, workers=1):
-    import os
+    d = cfg["data"]
 
-    outdir = cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
-    d, seed = cfg["data"], cfg["seeds"]["base"]
-    n_tr, n_te = d["n_train"], d["n_test"]
-    half_tr, half_te = n_tr // 2, n_te // 2
-    trunc = cfg["filtration"]["truncation"]
-    timings = {}
+    def gen(c, j, s):
+        if c == 0:
+            return _random_graph(d["n_vertices"], 0.25, s)
+        g = _ring_of_cliques(5, d["n_vertices"] // 5)
+        # sprinkle a few random chords so the class is not a single graph
+        extra = _random_graph(g.n, 0.02, s + 1).edges
+        return Graph(g.n, tuple(sorted(set(g.edges) | set(extra))))
 
-    t0 = time.perf_counter()
-    meas, labels = [], []
-    for c in (0, 1):
-        for j in range(half_tr + half_te):
-            s = seed + 100003 * c + 13 * j
-            if c == 0:
-                g = _random_graph(d["n_vertices"], 0.25, s)
-            else:
-                rng = np.random.default_rng(s)
-                g = _ring_of_cliques(5, d["n_vertices"] // 5)
-                # sprinkle a few random chords so the class is not a single graph
-                extra = _random_graph(g.n, 0.02, s + 1).edges
-                g = Graph(g.n, tuple(sorted(set(g.edges) | set(extra))))
-            hks = graph_hks(g, d["hks_time"])
-            d0, d1 = graph_sublevel_diagrams(g, hks)
-            pts = []
-            for dg in (d0, d1):
-                m = diagram_to_measure(dg, truncation=trunc, rotate=True)
-                if len(m):
-                    pts.append(np.column_stack([m.points, np.full(len(m), float(dg.dim))]))
-            meas.append(Measure(np.vstack(pts) if pts else np.zeros((0, 3))))
-            labels.append(c)
-    labels = np.array(labels)
-    timings["generate"] = time.perf_counter() - t0
-
-    idx_tr = [i for c in (0, 1) for i in range(c * (half_tr + half_te), c * (half_tr + half_te) + half_tr)]
-    idx_te = [i for c in (0, 1) for i in range(c * (half_tr + half_te) + half_tr, (c + 1) * (half_tr + half_te))]
-    train = LabeledDataset(tuple(meas[i] for i in idx_tr), labels[idx_tr])
-    test = LabeledDataset(tuple(meas[i] for i in idx_te), labels[idx_te])
-
-    t0 = time.perf_counter()
-    grid = build_ball_grid(train, cfg["learner"]["n_centers"], cfg["learner"]["radius_quantiles"], seed + 7)
-    learner = make_cached_learner(grid)
-    ens = adaboost_fit(train, cfg["boosting"]["rounds"], learner, seed=seed + 11)
-    timings["train"] = time.perf_counter() - t0
-
-    preds = [ensemble_predict(ens, m) for m in test.measures]
-    report = evaluate(test.labels, preds, labels=(0, 1), timings=timings)
-    with open(f"{outdir}/model.json", "w") as fh:
-        json.dump(ens.to_json(), fh, indent=2)
-    emit_rectangle_trace(ens, f"{outdir}/rectangles.csv")
-    report.save(f"{outdir}/metrics.json", include_timings=False)
-    with open(f"{outdir}/timings.json", "w") as fh:
-        json.dump(timings, fh, indent=2)
-    return report
+    return _classify(
+        cfg,
+        2,
+        d["n_train"] // 2,
+        d["n_test"] // 2,
+        gen,
+        workers,
+        diagrams=lambda graphs, _: [graph_sublevel_diagrams(g, graph_hks(g, d["hks_time"])) for g in graphs],
+        featurize=lambda _, dgms: diagrams_to_feature_measure(dgms, (0, 1), cfg["filtration"]["truncation"]),
+    )
 
 
 def limit_check_defaults():
@@ -566,8 +498,6 @@ def _density_moment(setup, k):
 
 
 def run_limit_check(cfg: RunConfig, workers=1):
-    import os
-
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     setup = cfg["setup"]["name"]
@@ -621,8 +551,6 @@ def rademacher_defaults():
 
 def run_rademacher_scaling(cfg: RunConfig, workers=1):
     """Estimate vs sample size for the ball-mass class on unit-mass measures."""
-    import os
-
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     base = cfg["seeds"]["base"]

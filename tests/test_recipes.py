@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from measureboost.boosting import adaboost_fit
+from measureboost.cli import main
 from measureboost.limits import Rectangle, xi_count
 from measureboost.measures import LabeledDataset, Measure
 from measureboost.ph import cech_filtration, persistence
-from measureboost.ph.diagrams import PersistenceDiagram
+from measureboost.ph.diagrams import PersistenceDiagram, load_diagrams_jsonl
 from measureboost.recipes import (
     RECIPES,
     RunConfig,
@@ -87,6 +88,25 @@ def test_feature_measure_tags_dimension():
 def test_feature_measure_empty():
     m = diagrams_to_feature_measure([], dims=(0, 1), truncation=1.0)
     assert len(m) == 0 and m.points.shape[1] == 3
+
+
+def test_feature_measure_raw_channel_scale_and_gap():
+    dgms = [
+        PersistenceDiagram(0, np.array([[0.0, 0.5]])),
+        PersistenceDiagram(1, np.array([[0.25, 0.75]])),
+        PersistenceDiagram(2, np.array([[0.5, 1.0]])),  # not a selected dim
+    ]
+    raw = np.array([[0.1, 0.2], [0.3, 0.4]])
+    m = diagrams_to_feature_measure(dgms, dims=(0, 1), truncation=1.0, scale=4.0, gap=3.0, raw=raw)
+    expected = np.array(
+        [
+            [0.1, 0.2, 6.0],  # raw cloud first, tagged 2 * gap
+            [0.3, 0.4, 6.0],
+            [0.0, 2.0, 0.0],  # rotated (birth, persistence) * scale, tagged dim * gap
+            [1.0, 2.0, 3.0],
+        ]
+    )
+    np.testing.assert_array_equal(m.points, expected)
 
 
 def test_build_ball_grid_shapes():
@@ -238,3 +258,46 @@ def test_limit_check_degree_1_matches_full_build(tmp_path):
             fc = cech_filtration(pts / r_n, max_dim=k + 2, max_value=v_max)
             diagrams[n, s] = next(x for x in persistence(fc) if x.dim == k)
         assert xi == xi_count(diagrams[n, s], Rectangle(*rects[name]), n, r_n, k, d)
+
+
+def test_cli_train_reproduces_recipe_model(tmp_path):
+    # the recipe and `measureboost train` fit through the same path
+    out = tmp_path / "ppp"
+    seed = 3
+    run_experiment(
+        "ppp-vs-gpp",
+        overrides={
+            ("data", "n_train"): 20,
+            ("data", "n_test"): 10,
+            ("seeds", "base"): seed,
+            ("output", "dir"): str(out),
+        },
+    )
+    d = RECIPES["ppp-vs-gpp"][0]()
+    model = tmp_path / "model.json"
+    argv = [
+        "train", "--input", str(out / "train_diagrams.jsonl"), "--out", str(model),
+        "--dims", *map(str, d["filtration"]["dims"]),
+        "--truncation", str(d["filtration"]["truncation"]),
+        "--rounds", str(d["boosting"]["rounds"]),
+        "--n-centers", str(d["learner"]["n_centers"]),
+        "--radius-quantiles", *map(str, d["learner"]["radius_quantiles"]),
+        "--seed", str(seed),
+    ]
+    assert main(argv) == 0
+    expected = json.loads((out / "model.json").read_text())
+    assert json.loads(model.read_text()) == {"kind": "binary", **expected}
+
+
+def test_graph_hks_demo_writes_diagrams_and_weak_accuracy(tmp_path):
+    report, weak = run_experiment(
+        "graph-hks-demo",
+        overrides={("data", "n_train"): 10, ("data", "n_test"): 6, ("output", "dir"): str(tmp_path)},
+    )
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["weak_accuracy"] == weak and 0.0 <= weak <= 1.0
+    assert metrics["accuracy"] == report.accuracy
+    for split, n in (("train", 10), ("test", 6)):
+        diagrams, metas = load_diagrams_jsonl(tmp_path / f"{split}_diagrams.jsonl")
+        assert [dg.dim for dg in diagrams] == [0, 1] * n
+        assert [m["label"] for m in metas] == [0] * n + [1] * n
