@@ -9,7 +9,6 @@ from 0 and 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import LabeledDataset, Measure
+from .measures import LabeledDataset, Measure, mass_matrix
 from .weak import WeakClassifier
 
 __all__ = [
@@ -75,13 +74,12 @@ def ensemble_predict(ensemble: Ensemble, mu: Measure) -> int:
 
 def staged_training_error(ensemble: Ensemble, data: LabeledDataset) -> list:
     """Training 0-1 error after each prefix of stages."""
-    n = len(data)
-    scores = np.zeros(n)
+    scores = np.zeros(len(data))
     errors = []
     y01 = (data.labels == ensemble.labels[1]).astype(int)
-    for h, alpha in ensemble.stages:
-        preds = np.array([h.predict(mu) for mu in data.measures])
-        scores += alpha * (2 * preds - 1)
+    masses = mass_matrix(data.measures, [h.region for h, _ in ensemble.stages])
+    for (h, alpha), row in zip(ensemble.stages, masses):
+        scores += alpha * (2 * h.predict_masses(row) - 1)
         errors.append(float(np.mean((scores > 0).astype(int) != y01)))
     return errors
 
@@ -133,9 +131,7 @@ def adaboost_fit(
             h, _ = learner(sub, sub_w, rng)
         else:
             h, _ = learner(data01, w, rng)
-        preds = np.array([h.predict(mu) for mu in data.measures])
-        pred_pm = 2 * preds - 1
-        miss = pred_pm != y
+        miss = h.predict_masses(mass_matrix(data.measures, (h.region,))[0]) != data01.labels
         err = float(w[miss].sum())
         if err >= 0.5 and t > 0:
             break

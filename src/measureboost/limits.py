@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import mass_matrix
 from .ph.complexes import cech_filtration
 from .ph.persistence import betti_oracle
 from .ph.diagrams import PersistenceDiagram
@@ -140,9 +141,7 @@ def mu_k_montecarlo(
 
 def feature_matrix(regions, measures) -> np.ndarray:
     """values[a, i] = mass of measure i inside region a (a finite function class)."""
-    from .measures import mass_in_region
-
-    return np.array([[mass_in_region(mu, A) for mu in measures] for A in regions])
+    return mass_matrix(measures, regions)
 
 
 def rademacher_estimate(values: np.ndarray, n_draws: int, seed: int):

@@ -10,8 +10,8 @@ thresholds and the p-mean mass statistic depend on raw mass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "total_mass",
     "integrate",
     "mass_in_region",
+    "mass_matrix",
     "mbar_p",
     "load_dataset_jsonl",
     "save_dataset_jsonl",
@@ -130,14 +131,29 @@ def integrate(mu: Measure, f: Callable[[np.ndarray], float]) -> float:
     return float(mu.weights @ vals)
 
 
+def mass_matrix(measures, regions) -> np.ndarray:
+    """masses[a, i] = mass that measure i puts inside closed region a.
+
+    The supports are stacked once and each region tests all of them in one
+    `contains_many` call (which checks the dimension); per-measure sums come
+    from one `np.bincount`.  An empty measure has mass 0 in every region.
+    """
+    masses = np.zeros((len(regions), len(measures)))
+    filled = [mu for mu in measures if len(mu)]
+    if not filled:
+        return masses
+    points = np.vstack([mu.points for mu in filled])
+    weights = np.concatenate([mu.weights for mu in filled])
+    owner = np.repeat(np.arange(len(measures)), [len(mu) for mu in measures])
+    for a, region in enumerate(regions):
+        inside = region.contains_many(points)
+        masses[a] = np.bincount(owner[inside], weights=weights[inside], minlength=len(measures))
+    return masses
+
+
 def mass_in_region(mu: Measure, region) -> float:
     """Mass that mu puts inside a closed region (boundary points count)."""
-    if len(mu) == 0:
-        return 0.0
-    if region.dim != mu.dim:
-        raise ValueError(f"region dimension {region.dim} != measure dimension {mu.dim}")
-    mask = region.contains_many(mu.points)
-    return float(mu.weights[mask].sum())
+    return float(mass_matrix((mu,), (region,))[0, 0])
 
 
 def mbar_p(data: LabeledDataset, p: float) -> float:

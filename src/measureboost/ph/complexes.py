@@ -14,13 +14,14 @@ dominate at the point-cloud sizes we target (hundreds of points, dim <= 2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["FilteredComplex", "cech_filtration", "rips_filtration", "miniball_radius"]
 
 _JITTER_SEED = 715517
+_BUDGET = 5_000_000  # most candidate triangles, and tetrahedra, one build may enumerate
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _enumerate_triangles(neighbors, adj):
     return np.concatenate(tris)
 
 
-def _build_filtration(points, max_dim, max_value, value_fn3, value_fn_hi, budget):
+def _build_filtration(points, max_dim, max_value, value_fn3, value_fn_hi):
     points = _as_cloud(points)
     points = _dedup_points(points)
     n = len(points)
@@ -169,10 +170,10 @@ def _build_filtration(points, max_dim, max_value, value_fn3, value_fn_hi, budget
         if max_dim >= 2:
             neighbors = [np.nonzero(adj[i, i + 1 :])[0] + i + 1 for i in range(n)]
             tris = _enumerate_triangles(neighbors, adj)
-            if len(tris) > budget:
+            if len(tris) > _BUDGET:
                 raise RuntimeError(
                     f"{len(tris)} candidate triangles exceed the enumeration "
-                    f"budget of {budget}; lower max_value or the point count"
+                    f"budget of {_BUDGET}; lower max_value or the point count"
                 )
             if len(tris):
                 vals = value_fn3(points, tris, edge_val)
@@ -197,7 +198,7 @@ def _build_filtration(points, max_dim, max_value, value_fn3, value_fn_hi, budget
                         if any(f not in tri_set for f in faces):
                             continue
                         count += 1
-                        if count > budget:
+                        if count > _BUDGET:
                             raise RuntimeError("tetrahedron enumeration over budget")
                         v = value_fn_hi(points, verts)
                         v = max(v, max(tri_set[f] for f in faces))
@@ -214,7 +215,7 @@ def _as_cloud(points) -> np.ndarray:
     return pts
 
 
-def cech_filtration(points, max_dim: int, max_value: float, budget: int = 5_000_000) -> FilteredComplex:
+def cech_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
     """Cech filtration: simplex value = minimal enclosing ball radius."""
     if max_dim > 3:
         raise ValueError("max_dim above 3 is not supported")
@@ -225,10 +226,10 @@ def cech_filtration(points, max_dim: int, max_value: float, budget: int = 5_000_
     def hi_val(pts, verts):
         return miniball_radius(pts[list(verts)])
 
-    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val, budget)
+    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val)
 
 
-def rips_filtration(points, max_dim: int, max_value: float, budget: int = 5_000_000) -> FilteredComplex:
+def rips_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
     """Rips filtration with value = diameter/2 (matches Cech on edges)."""
     if max_dim > 3:
         raise ValueError("max_dim above 3 is not supported")
@@ -247,4 +248,4 @@ def rips_filtration(points, max_dim: int, max_value: float, budget: int = 5_000_
             np.max(np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1))
         )
 
-    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val, budget)
+    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val)

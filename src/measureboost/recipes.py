@@ -30,12 +30,12 @@ from .boosting import (
 )
 from .graphs import Graph, graph_hks, graph_sublevel_diagrams
 from .limits import Rectangle, feature_matrix, mu_k_montecarlo, r_n_schedule, rademacher_estimate, xi_count
-from .measures import LabeledDataset, Measure
+from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
 from .regions import AxisRect, Ball
-from .weak import GridSpec, exhaustive_search, kmeans_centers, mass_matrix
+from .weak import GridSpec, exhaustive_search, kmeans_centers
 
 __all__ = ["RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
@@ -91,6 +91,15 @@ def _parse_like(raw: str, default):
 # shared pipeline pieces
 
 
+def _map(fn, jobs, workers):
+    """[fn(job) for job in jobs], across a process pool when workers > 1;
+    results keep input order, so worker count does not change the output."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, jobs, chunksize=4))
+    return [fn(j) for j in jobs]
+
+
 def _cloud_diagrams(args):
     pts, max_dim, max_value = args
     fc = cech_filtration(np.asarray(pts), max_dim=max_dim, max_value=max_value)
@@ -98,16 +107,13 @@ def _cloud_diagrams(args):
 
 
 def compute_diagrams(clouds, max_dim, max_value, workers=1):
-    """Čech diagrams per cloud, optionally across a process pool.
+    """Čech diagrams per cloud, optionally across a process pool."""
+    return _map(_cloud_diagrams, [(np.asarray(c), max_dim, max_value) for c in clouds], workers)
 
-    Results come back in input order either way, so worker count does not
-    change the output.
-    """
-    jobs = [(np.asarray(c), max_dim, max_value) for c in clouds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_cloud_diagrams, jobs, chunksize=4))
-    return [_cloud_diagrams(j) for j in jobs]
+
+def _graph_diagrams(args):
+    g, hks_time = args
+    return graph_sublevel_diagrams(g, graph_hks(g, hks_time))
 
 
 def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=None) -> Measure:
@@ -115,11 +121,13 @@ def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=
 
     With several channels (several dims, or the point cloud `raw` next to
     the diagrams) each rides on its own plane of a trailing tag coordinate,
-    so regions can tell them apart: dim * gap for a diagram, 2 * gap for
-    the raw cloud, which comes first.
+    so regions can tell them apart: dim * gap for a diagram; the raw cloud
+    comes first, on the plane above the highest selected dim but never
+    below 2 * gap.
     """
     tag = len(dims) > 1 or raw is not None
-    feats = [] if raw is None else [np.column_stack([raw, np.full(len(raw), 2.0 * gap)])]
+    raw_tag = max(2, max(dims, default=0) + 1) * gap
+    feats = [] if raw is None else [np.column_stack([raw, np.full(len(raw), float(raw_tag))])]
     for dg in dgms:
         if dg.dim not in dims:
             continue
@@ -147,15 +155,18 @@ def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) ->
     return GridSpec.balls(centers, radii)
 
 
-def make_cached_learner(grid: GridSpec):
-    """Exhaustive-search learner that reuses the region-mass matrix of the
-    last dataset it saw; AdaBoost passes the same dataset every round."""
-    last = [None, None]  # dataset, its mass matrix
+def make_cached_learner(grid: GridSpec, train: LabeledDataset):
+    """Exhaustive-search learner over train's one mass matrix on the grid: a
+    dataset of train's own Measure objects (a one-vs-one pair, a subsample)
+    gets its columns; any other measure raises ValueError."""
+    masses = mass_matrix(train.measures, grid.regions)
+    index = {id(mu): i for i, mu in enumerate(train.measures)}  # valid while train lives
 
     def learner(data, w, rng):
-        if last[0] is not data:
-            last[:] = data, mass_matrix(data, grid.regions)
-        return exhaustive_search(data, grid, w, masses=last[1])
+        cols = [index.get(id(mu), -1) for mu in data.measures]
+        if any(i < 0 or train.measures[i] is not mu for i, mu in zip(cols, data.measures)):
+            raise ValueError("the learner got a measure that is not in its training set")
+        return exhaustive_search(data, grid, w, masses=masses[:, cols])
 
     return learner
 
@@ -164,7 +175,7 @@ def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, s
     """Boosted ball-mass classifier: one AdaBoost ensemble for two classes,
     one-vs-one ensembles for more."""
     grid = build_ball_grid(train, n_centers, radius_quantiles, seed + 7)
-    learner = make_cached_learner(grid)
+    learner = make_cached_learner(grid, train)
     if len(train.label_set) > 2:
         return one_vs_one_fit(train, rounds, learner, seed=seed + 11)
     return adaboost_fit(train, rounds, learner, seed=seed + 11)
@@ -252,9 +263,8 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
     binary = isinstance(model, Ensemble)
     if binary:
         h0 = model.stages[0][0]
-        lo, hi = model.labels
-        weak_preds = [hi if h0.predict(m) == 1 else lo for m in test.measures]
-        weak_acc = float(np.mean(np.array(weak_preds) == test.labels))
+        weak_preds = np.array(model.labels)[h0.predict_masses(mass_matrix(test.measures, (h0.region,))[0])]
+        weak_acc = float(np.mean(weak_preds == test.labels))
     timings["evaluate"] = time.perf_counter() - t0
 
     report = evaluate(
@@ -462,7 +472,7 @@ def run_graph_hks_demo(cfg: RunConfig, workers=1):
         d["n_test"] // 2,
         gen,
         workers,
-        diagrams=lambda graphs, _: [graph_sublevel_diagrams(g, graph_hks(g, d["hks_time"])) for g in graphs],
+        diagrams=lambda graphs, w: _map(_graph_diagrams, [(g, d["hks_time"]) for g in graphs], w),
         featurize=lambda _, dgms: diagrams_to_feature_measure(dgms, (0, 1), cfg["filtration"]["truncation"]),
     )
 

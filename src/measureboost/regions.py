@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Measure, total_mass
+from .measures import Measure
 
 __all__ = [
     "Ball",
@@ -21,6 +21,7 @@ __all__ = [
     "SmoothParams",
     "contains",
     "dist_to_ball",
+    "smooth_terms",
     "smooth_feature",
     "sigmoid",
     "region_to_json",
@@ -117,6 +118,14 @@ class SmoothParams:
             raise ValueError("scale must be positive")
 
 
+def smooth_terms(points: np.ndarray, p: SmoothParams):
+    """Per point: distance d to the center, gap g = max(0, d - radius) to the
+    ball, and decay exp(-g / scale)."""
+    d = np.linalg.norm(points - p.center, axis=1)
+    g = np.maximum(0.0, d - p.radius)
+    return d, g, np.exp(-g / p.scale)
+
+
 def smooth_feature(mu: Measure, p: SmoothParams) -> float:
     """Integral of exp(-dist(ball, x)/scale) against mu, minus the threshold.
 
@@ -125,9 +134,7 @@ def smooth_feature(mu: Measure, p: SmoothParams) -> float:
     """
     if len(mu) == 0:
         return -p.threshold
-    d = np.linalg.norm(mu.points - p.center, axis=1)
-    g = np.maximum(0.0, d - p.radius)
-    return float(mu.weights @ np.exp(-g / p.scale)) - p.threshold
+    return float(mu.weights @ smooth_terms(mu.points, p)[2]) - p.threshold
 
 
 def sigmoid(x):

@@ -12,12 +12,14 @@ Ties at exactly the threshold therefore predict label 0, deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import LabeledDataset, Measure, mass_in_region
-from .regions import AxisRect, Ball, SmoothParams, region_from_json, region_to_json, sigmoid
+from .measures import LabeledDataset, Measure, mass_in_region, mass_matrix
+from .regions import AxisRect, Ball, SmoothParams, region_from_json, region_to_json
+from .regions import sigmoid, smooth_feature, smooth_terms
 
 __all__ = [
     "WeakClassifier",
@@ -46,11 +48,11 @@ class WeakClassifier:
             raise ValueError("sign must be +1 or -1")
 
     def predict(self, mu: Measure) -> int:
-        return int(self.sign * (mass_in_region(mu, self.region) - self.threshold) > 0)
+        return int(self.predict_masses(mass_in_region(mu, self.region)))
 
-    def predict_masses(self, masses: np.ndarray) -> np.ndarray:
-        """Predictions from precomputed region masses."""
-        return (self.sign * (masses - self.threshold) > 0).astype(int)
+    def predict_masses(self, masses) -> np.ndarray:
+        """Predictions from region masses, e.g. this region's `mass_matrix` row."""
+        return (self.sign * (np.asarray(masses) - self.threshold) > 0).astype(int)
 
     def to_json(self) -> dict:
         return {
@@ -101,19 +103,9 @@ class GridSpec:
         for grid in axis_grids:
             grid = list(grid)
             his = grid[1:] + ([np.inf] if half_open else [])
-            per_axis.append(
-                [(lo, hi) for i, lo in enumerate(grid) for hi in his if hi > lo or hi == np.inf]
-            )
-        regions = []
-
-        def build(axis, mins, maxs):
-            if axis == len(per_axis):
-                regions.append(AxisRect(np.array(mins), np.array(maxs)))
-                return
-            for lo, hi in per_axis[axis]:
-                build(axis + 1, mins + [lo], maxs + [hi])
-
-        build(0, [], [])
+            per_axis.append([(lo, hi) for lo in grid for hi in his if hi > lo])
+        boxes = itertools.product(*per_axis)  # one (lo, hi) pair per axis
+        regions = [AxisRect(*np.array(box, dtype=float).reshape(-1, 2).T) for box in boxes]
         return GridSpec(tuple(regions), thresholds)
 
 
@@ -144,15 +136,8 @@ def weighted_error(h: WeakClassifier, data: LabeledDataset, w=None) -> float:
     """Weighted 0-1 error; uniform weights when w is None."""
     n = len(data)
     w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
-    preds = np.array([h.predict(mu) for mu in data.measures])
+    preds = h.predict_masses(mass_matrix(data.measures, (h.region,))[0])
     return float(w[preds != data.labels].sum())
-
-
-def mass_matrix(data: LabeledDataset, regions) -> np.ndarray:
-    """masses[a, i] = mass of measure i inside region a."""
-    return np.array(
-        [[mass_in_region(mu, A) for mu in data.measures] for A in regions]
-    )
 
 
 def default_thresholds(masses: np.ndarray) -> np.ndarray:
@@ -179,7 +164,7 @@ def exhaustive_search(
     w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
     y = data.labels
     if masses is None:
-        masses = mass_matrix(data, grid.regions)
+        masses = mass_matrix(data.measures, grid.regions)
     best = None  # (error, sign_rank, region_idx, thr_idx, classifier)
     for a, region in enumerate(grid.regions):
         m = masses[a]
@@ -243,19 +228,6 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0, iters: int = 100, 
 _CLAMP = 1e-12
 
 
-def _smooth_features(data: LabeledDataset, center, radius, scale):
-    """Per-measure smoothed ball integral (before threshold subtraction)."""
-    vals = np.empty(len(data))
-    for i, mu in enumerate(data.measures):
-        if len(mu) == 0:
-            vals[i] = 0.0
-            continue
-        d = np.linalg.norm(mu.points - center, axis=1)
-        g = np.maximum(0.0, d - radius)
-        vals[i] = mu.weights @ np.exp(-g / scale)
-    return vals
-
-
 def cross_entropy_loss(p: SmoothParams, data: LabeledDataset, w=None) -> float:
     """Cross-entropy of sigmoid(smooth feature) against binary labels.
 
@@ -268,7 +240,7 @@ def cross_entropy_loss(p: SmoothParams, data: LabeledDataset, w=None) -> float:
         raise ValueError("labels must be binary")
     n = len(data)
     scale_w = np.ones(n) if w is None else n * _check_weights(w, n)
-    f = _smooth_features(data, p.center, p.radius, p.scale) - p.threshold
+    f = np.array([smooth_feature(mu, p) for mu in data.measures])
     prob = np.clip(sigmoid(f), _CLAMP, 1 - _CLAMP)
     return float(-(scale_w * (y * np.log(prob) + (1 - y) * np.log(1 - prob))).sum())
 
@@ -284,36 +256,27 @@ def cross_entropy_grad(p: SmoothParams, data: LabeledDataset, w=None, idx=None):
     gc = np.zeros_like(p.center)
     gr = gs = gsig = 0.0
     for i in idx:
-        mu = data.measures[i]
-        y = data.labels[i]
-        if len(mu):
-            d = np.linalg.norm(mu.points - p.center, axis=1)
-            g = np.maximum(0.0, d - p.radius)
-            e = np.exp(-g / p.scale)
-            f = float(mu.weights @ e) - p.threshold
-        else:
-            d = g = e = None
-            f = -p.threshold
-        prob = sigmoid(f)
-        dldf = scale_w[i] * (prob - y)
-        if e is not None:
-            active = g > 0
-            coef = mu.weights * e / p.scale
-            if np.any(active):
-                safe_d = np.where(d > 0, d, 1.0)
-                direction = (mu.points - p.center) / safe_d[:, None]
-                gc += dldf * (coef[active, None] * direction[active]).sum(axis=0)
-            gr += dldf * float(coef[active].sum())
-            gsig += dldf * float((mu.weights * e * g).sum()) / p.scale**2
-        gs += -dldf
+        mu, y = data.measures[i], data.labels[i]
+        if len(mu) == 0:  # the feature is -threshold, constant in everything else
+            gs -= scale_w[i] * (sigmoid(-p.threshold) - y)
+            continue
+        d, g, e = smooth_terms(mu.points, p)
+        dldf = scale_w[i] * (sigmoid(float(mu.weights @ e) - p.threshold) - y)
+        active = g > 0
+        coef = mu.weights * e / p.scale
+        if np.any(active):
+            safe_d = np.where(d > 0, d, 1.0)
+            direction = (mu.points - p.center) / safe_d[:, None]
+            gc += dldf * (coef[active, None] * direction[active]).sum(axis=0)
+        gr += dldf * float(coef[active].sum())
+        gsig += dldf * float((mu.weights * e * g).sum()) / p.scale**2
+        gs -= dldf
     return gc, gr, gs, gsig
 
 
-def _pairwise_distance_sample(data: LabeledDataset, rng, cap: int = 2000):
-    pool = [x for mu in data.measures for x in mu.points]
+def _pairwise_distance_sample(pool: np.ndarray, rng, cap: int = 2000):
     if len(pool) < 2:
         return np.array([1.0])
-    pool = np.array(pool)
     i = rng.integers(0, len(pool), size=cap)
     j = rng.integers(0, len(pool), size=cap)
     d = np.linalg.norm(pool[i] - pool[j], axis=1)
@@ -342,7 +305,7 @@ def smooth_train(data: LabeledDataset, cfg: SmoothTrainConfig, w=None):
     if not support:
         raise ValueError("dataset has no support points")
     support = np.array(support)
-    dists = _pairwise_distance_sample(data, rng)
+    dists = _pairwise_distance_sample(support, rng)
     best = None
     for sign in (1, -1):
         flipped = data if sign == 1 else LabeledDataset(data.measures, 1 - y)
@@ -350,7 +313,8 @@ def smooth_train(data: LabeledDataset, cfg: SmoothTrainConfig, w=None):
             center = support[rng.integers(len(support))].copy()
             radius = float(np.quantile(dists, rng.uniform()))
             scale = cfg.init_scale
-            masses = _smooth_features(flipped, center, radius, scale)
+            unthresholded = SmoothParams(center, radius, 0.0, scale)
+            masses = [smooth_feature(mu, unthresholded) for mu in flipped.measures]
             threshold = float(np.median(masses))
             params = SmoothParams(center, radius, threshold, scale)
             for _ in range(cfg.epochs):

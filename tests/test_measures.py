@@ -10,6 +10,7 @@ from measureboost.measures import (
     integrate,
     load_dataset_jsonl,
     mass_in_region,
+    mass_matrix,
     mbar_p,
     save_dataset_jsonl,
     total_mass,
@@ -174,3 +175,75 @@ def test_dataset_label_set_sorted():
     measures = tuple(Measure(np.zeros((1, 2))) for _ in range(3))
     data = LabeledDataset(measures, np.array([2, 0, 2]))
     assert data.label_set == [0, 2]
+
+
+# --- mass_matrix against a per-point reference -----------------------------
+#
+# Coordinates and radii are multiples of 1/4, so squared distances are exact
+# and many support points sit exactly on a ball boundary or a box face.
+
+_quarter = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+def _reference_masses(measures, regions):
+    out = np.zeros((len(regions), len(measures)))
+    for a, region in enumerate(regions):
+        for i, mu in enumerate(measures):
+            for x, w in zip(mu.points.tolist(), mu.weights.tolist()):
+                if isinstance(region, Ball):
+                    c = region.center.tolist()
+                    inside = sum((xj - cj) ** 2 for xj, cj in zip(x, c)) <= region.radius**2
+                else:
+                    inside = all(lo <= xj <= hi for xj, lo, hi in zip(x, region.mins, region.maxs))
+                out[a, i] += w if inside else 0.0
+    return out
+
+
+@st.composite
+def _masses_case(draw, unit_weights):
+    d = draw(st.integers(1, 3))
+    point = st.lists(_quarter, min_size=d, max_size=d)
+    measures = []
+    for _ in range(draw(st.integers(0, 5))):
+        pts = np.array(draw(st.lists(point, max_size=6)), dtype=float).reshape(-1, d)
+        weights = None if unit_weights else draw(
+            st.lists(st.floats(0.0, 10.0), min_size=len(pts), max_size=len(pts))
+        )
+        measures.append(Measure(pts, weights))
+    regions = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = np.array(draw(point))
+        if draw(st.booleans()):
+            regions.append(Ball(lo, draw(st.integers(0, 12)) / 4))
+        else:
+            ext = draw(st.lists(st.one_of(st.integers(0, 8).map(lambda k: k / 4), st.just(np.inf)), min_size=d, max_size=d))
+            regions.append(AxisRect(lo, lo + np.array(ext)))
+    return measures, regions
+
+
+@given(_masses_case(unit_weights=True))
+@settings(max_examples=150, deadline=None)
+def test_mass_matrix_matches_reference_unit_weights(case):
+    measures, regions = case
+    got = mass_matrix(measures, regions)
+    assert got.shape == (len(regions), len(measures))
+    np.testing.assert_array_equal(got, _reference_masses(measures, regions))
+
+
+@given(_masses_case(unit_weights=False))
+@settings(max_examples=150, deadline=None)
+def test_mass_matrix_matches_reference_weighted(case):
+    measures, regions = case
+    np.testing.assert_allclose(mass_matrix(measures, regions), _reference_masses(measures, regions), rtol=1e-12, atol=1e-12)
+
+
+def test_mass_matrix_boundary_empty_and_half_open():
+    measures = [
+        unit_measure([[1.0, 0.0], [0.0, -1.0], [2.0, 2.0]]),  # two on the unit circle
+        Measure(np.zeros((0, 2))),
+        Measure(np.array([[5.0, 0.0], [0.0, 0.0]]), np.array([0.5, 2.0])),
+    ]
+    regions = [Ball(np.zeros(2), 1.0), AxisRect(np.zeros(2), np.array([np.inf, np.inf]))]
+    np.testing.assert_array_equal(mass_matrix(measures, regions), [[2.0, 0.0, 2.0], [2.0, 0.0, 2.5]])
+    assert mass_matrix([], regions).shape == (2, 0)
+    assert mass_in_region(measures[0], regions[0]) == 2.0

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from measureboost import boosting, limits, measures, recipes, weak
 from measureboost.boosting import adaboost_fit
 from measureboost.cli import main
 from measureboost.limits import Rectangle, xi_count
@@ -19,10 +20,11 @@ from measureboost.recipes import (
     compute_diagrams,
     diagrams_to_feature_measure,
     emit_rectangle_trace,
+    fit_classifier,
     make_cached_learner,
     run_experiment,
 )
-from measureboost.weak import GridSpec
+from measureboost.weak import GridSpec, exhaustive_search
 
 
 def test_runconfig_lookup_and_defaults():
@@ -109,6 +111,15 @@ def test_feature_measure_raw_channel_scale_and_gap():
     np.testing.assert_array_equal(m.points, expected)
 
 
+def test_feature_measure_raw_tag_clears_every_diagram_tag():
+    dgms = [PersistenceDiagram(k, np.array([[0.1 * k, 0.5]])) for k in (0, 1, 2)]
+    raw = np.array([[0.1, 0.2], [0.3, 0.4]])
+    m = diagrams_to_feature_measure(dgms, dims=(0, 1, 2), truncation=1.0, gap=2.0, raw=raw)
+    raw_tags, diagram_tags = set(m.points[:2, 2]), set(m.points[2:, 2])
+    assert diagram_tags == {0.0, 2.0, 4.0}
+    assert raw_tags == {6.0}
+
+
 def test_build_ball_grid_shapes():
     rng = np.random.default_rng(1)
     ms = tuple(Measure(rng.uniform(size=(10, 2))) for _ in range(6))
@@ -125,12 +136,55 @@ def test_cached_learner_matches_uncached():
     ms = tuple(Measure(rng.uniform(size=(5, 2))) for _ in range(10))
     data = LabeledDataset(ms, rng.integers(0, 2, size=10))
     grid = GridSpec.balls([np.full(2, 0.5)], [0.3, 0.6])
-    learner = make_cached_learner(grid)
+    learner = make_cached_learner(grid, data)
     w = np.full(10, 0.1)
     h1, e1 = learner(data, w, None)
     h2, e2 = exhaustive_search(data, grid, w)
     assert e1 == e2
     assert h1.to_json() == h2.to_json()
+
+
+def _three_class_train():
+    rng = np.random.default_rng(4)
+    ms = tuple(Measure(rng.normal(loc=c, size=(6, 2))) for c in range(3) for _ in range(8))
+    return LabeledDataset(ms, np.repeat(np.arange(3), 8))
+
+
+def test_fit_classifier_one_mass_matrix_for_every_pair(monkeypatch):
+    train = _three_class_train()
+    grids = []
+    build = recipes.build_ball_grid
+    monkeypatch.setattr(recipes, "build_ball_grid", lambda *a: grids.append(build(*a)) or grids[-1])
+    grid_calls = []
+    plain = measures.mass_matrix
+
+    def counting(ms, regions):
+        regions = tuple(regions)
+        if grids and len(regions) == len(grids[0].regions) and all(
+            a is b for a, b in zip(regions, grids[0].regions)
+        ):
+            grid_calls.append(len(ms))
+        return plain(ms, regions)
+
+    for module in (measures, weak, boosting, limits, recipes):
+        monkeypatch.setattr(module, "mass_matrix", counting)
+    model = fit_classifier(train, n_centers=4, radius_quantiles=(0.2, 0.6), rounds=3, seed=5)
+    assert grid_calls == [len(train)]
+    monkeypatch.undo()
+    (grid,) = grids
+    for pair_idx, ((a, b), ens) in enumerate(model.models.items()):
+        pair = train.subset(np.nonzero(np.isin(train.labels, (a, b)))[0])
+        expected = adaboost_fit(pair, 3, lambda d, w, r: exhaustive_search(d, grid, w), seed=5 + 11 + 7919 * pair_idx)
+        assert ens.to_json() == expected.to_json()
+
+
+def test_cached_learner_rejects_a_measure_not_in_train():
+    train = _three_class_train()
+    learner = make_cached_learner(GridSpec.balls([np.zeros(2)], [1.0]), train)
+    twin = Measure(train.measures[0].points)  # equal values, another object
+    data = LabeledDataset((twin,) + train.measures[1:2], np.array([0, 1]))
+    with pytest.raises(ValueError):
+        learner(data, np.full(2, 0.5), None)
 
 
 def test_thin_cloud_cap():
@@ -151,7 +205,7 @@ def test_emit_rectangle_trace_schema(tmp_path):
         ys.append(1)
     data = LabeledDataset(tuple(ms), np.array(ys))
     grid = GridSpec.balls([np.full(2, 0.3), np.full(2, 1.2)], [0.4, 0.8])
-    learner = make_cached_learner(grid)
+    learner = make_cached_learner(grid, data)
     ens = adaboost_fit(data, rounds=4, learner=lambda d, w, r: learner(d, w, r))
     path = tmp_path / "trace.csv"
     emit_rectangle_trace(ens, path)
@@ -301,3 +355,20 @@ def test_graph_hks_demo_writes_diagrams_and_weak_accuracy(tmp_path):
         diagrams, metas = load_diagrams_jsonl(tmp_path / f"{split}_diagrams.jsonl")
         assert [dg.dim for dg in diagrams] == [0, 1] * n
         assert [m["label"] for m in metas] == [0] * n + [1] * n
+
+
+def test_graph_hks_demo_worker_count_is_invisible(tmp_path, monkeypatch):
+    pools = []
+    serial_map = recipes._map
+    monkeypatch.setattr(recipes, "_map", lambda fn, jobs, w: pools.append((fn.__name__, w)) or serial_map(fn, jobs, w))
+    for workers in (1, 2):
+        run_experiment(
+            "graph-hks-demo",
+            overrides={("data", "n_train"): 10, ("data", "n_test"): 6, ("output", "dir"): str(tmp_path / f"w{workers}")},
+            workers=workers,
+        )
+    assert pools == [("_graph_diagrams", 1), ("_graph_diagrams", 2)]
+    files = {p.name for p in (tmp_path / "w1").iterdir()} - {"timings.json"}
+    assert files == {p.name for p in (tmp_path / "w2").iterdir()} - {"timings.json"}
+    for name in sorted(files):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
