@@ -108,9 +108,13 @@ def mu_k_montecarlo(
     For k = 0 the estimate is identically zero: the Betti-0 indicator is
     monotone in the scale, so the combination cancels on every sample.  For
     d = 1 and k >= 1 it is zero too: points on a line carry no k-cycle.
+    k is at most 2, since a k-cycle dies by (k+1)-simplices and the Cech
+    builder stops at dimension 3.
 
     Returns (estimate, standard_error).
     """
+    if k > 2:
+        raise ValueError("k above 2 needs simplices above dimension 3")
     if not math.isfinite(rect.v):
         raise ValueError("v must be finite for Monte-Carlo sampling")
     if n_mc < 2:
@@ -125,7 +129,7 @@ def mu_k_montecarlo(
         y = g * (radius * rng.uniform(size=(k + 1, 1)) ** (1.0 / d))
         pts = np.vstack([np.zeros((1, d)), y])
         # one complex per sample; each h is 1 iff its k-th Betti number at that scale is 1
-        fc = cech_filtration(pts, max_dim=min(k + 1, 3), max_value=float("inf"))
+        fc = cech_filtration(pts, max_dim=k + 1, max_value=float("inf"))
         hs = {r: int(betti_oracle(fc, r, k) == 1) for r in (rect.s, rect.t, rect.u, rect.v)}
         samples[i] = (
             hs[rect.t] * hs[rect.u]

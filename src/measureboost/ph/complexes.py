@@ -6,9 +6,12 @@ Conventions, fixed once for the whole package:
   * Rips filtration value = diameter / 2, so the two filtrations agree on
     vertices and edges.  Beware: much of the literature uses diameter.
 
-Simplices are enumerated densely (all vertex subsets up to max_dim whose
-value is <= max_value); the edge/triangle paths are vectorized since those
-dominate at the point-cloud sizes we target (hundreds of points, dim <= 2).
+The edges are all pairs whose value is <= max_value.  One vectorized loop
+builds every higher dimension from the one below: each kept simplex is
+extended by every higher vertex adjacent to all of its vertices, and a
+candidate is kept iff all of its facets were kept and its value is
+<= max_value.  The candidates are counted against a budget before any
+candidate array is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 __all__ = ["FilteredComplex", "cech_filtration", "rips_filtration", "miniball_radius"]
 
 _JITTER_SEED = 715517
-_BUDGET = 5_000_000  # most candidate triangles, and tetrahedra, one build may enumerate
+_BUDGET = 5_000_000  # most candidate simplices of one dimension a build may enumerate
+_BLOCK = 1024  # faces masked at a time when counting and listing candidates
 
 
 @dataclass(frozen=True)
@@ -139,71 +143,92 @@ def miniball_radius(pts: np.ndarray) -> float:
     return best
 
 
-def _enumerate_triangles(neighbors, adj):
-    """Candidate triangles (i < j < k with all pairs adjacent)."""
-    tris = []
-    for i, nb in enumerate(neighbors):
-        if len(nb) < 2:
-            continue
-        sub = adj[np.ix_(nb, nb)]
-        jj, kk = np.nonzero(np.triu(sub, k=1))
-        if len(jj):
-            tris.append(np.column_stack([np.full(len(jj), i), nb[jj], nb[kk]]))
-    if not tris:
-        return np.empty((0, 3), dtype=int)
-    return np.concatenate(tris)
+def _cech_value(points, simplices):
+    """Minimal enclosing ball radius of each row of vertex indices."""
+    if simplices.shape[1] == 3:
+        return _circumradius3(*points[simplices.T])
+    return np.array([miniball_radius(points[verts]) for verts in simplices])
 
 
-def _build_filtration(points, max_dim, max_value, value_fn3, value_fn_hi):
-    points = _as_cloud(points)
-    points = _dedup_points(points)
+def _codes(simplices, n):
+    """Integer codes of vertex rows that order like the rows' vertex tuples."""
+    code = simplices[:, 0]
+    for col in simplices.T[1:]:
+        code = code * n + col
+    return code
+
+
+def _cofaces(points, faces, values, up, max_value, value_fn):
+    """Kept simplices one dimension above `faces`, with their values.
+
+    faces holds the kept simplices of one dimension as lexicographically
+    sorted rows of increasing vertex indices, values their filtration values;
+    up[u, v] is True iff u < v and the edge uv was kept.  Each face is
+    extended by every higher vertex adjacent to all of its vertices.  A
+    candidate is kept iff all of its facets were kept and its value, raised
+    to the facet maximum, is <= max_value.  The rows returned are again
+    sorted, so they can serve as `faces` one dimension up.
+    """
+    n, k = len(up), faces.shape[1]
+    starts = range(0, len(faces), _BLOCK)
+
+    def candidates(start):
+        block = faces[start : start + _BLOCK]
+        mask = up[block[:, 0]]
+        for col in block.T[1:]:
+            mask &= up[col]
+        return block, mask
+
+    count = sum(int(np.count_nonzero(candidates(start)[1])) for start in starts)
+    if count > _BUDGET:
+        raise RuntimeError(
+            f"{count} candidate {k}-simplices exceed the enumeration budget of "
+            f"{_BUDGET}; lower max_value or the point count"
+        )
+    codes = _codes(faces, n)
+    # the facets through the new vertex; the one without it is the face
+    through_new = list(itertools.combinations(range(k + 1), k))[1:]
+    kept, kept_values = [], []
+    for start in starts:
+        block, mask = candidates(start)
+        rows, vertex = np.nonzero(mask)
+        cand = np.concatenate([block[rows], vertex[:, None]], axis=1)
+        vals, keep = values[rows + start], np.ones(len(cand), dtype=bool)
+        for columns in through_new:
+            facet = _codes(cand[:, columns], n)
+            at = np.minimum(np.searchsorted(codes, facet), len(codes) - 1)
+            keep &= codes[at] == facet
+            vals = np.maximum(vals, values[at])
+        cand, vals = cand[keep], vals[keep]
+        if value_fn is not None:
+            vals = np.maximum(value_fn(points, cand), vals)
+        keep = vals <= max_value
+        kept.append(cand[keep])
+        kept_values.append(vals[keep])
+    return np.concatenate(kept), np.concatenate(kept_values)
+
+
+def _build_filtration(points, max_dim, max_value, value_fn):
+    points = _dedup_points(_as_cloud(points))
     n = len(points)
     simplices = [((i,), 0.0) for i in range(n)]
     if n >= 2 and max_dim >= 1:
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        edge_val = dist / 2.0
-        adj = (edge_val <= max_value) & ~np.eye(n, dtype=bool)
-        ii, jj = np.nonzero(np.triu(adj, k=1))
-        for i, j, v in zip(ii.tolist(), jj.tolist(), edge_val[ii, jj].tolist()):
-            simplices.append(((i, j), v))
-        if max_dim >= 2:
-            neighbors = [np.nonzero(adj[i, i + 1 :])[0] + i + 1 for i in range(n)]
-            tris = _enumerate_triangles(neighbors, adj)
-            if len(tris) > _BUDGET:
-                raise RuntimeError(
-                    f"{len(tris)} candidate triangles exceed the enumeration "
-                    f"budget of {_BUDGET}; lower max_value or the point count"
-                )
-            if len(tris):
-                vals = value_fn3(points, tris, edge_val)
-                keep = vals <= max_value
-                tris, vals = tris[keep], vals[keep]
-                # guard against fp violating face monotonicity
-                emax = np.maximum(
-                    edge_val[tris[:, 0], tris[:, 1]],
-                    np.maximum(
-                        edge_val[tris[:, 0], tris[:, 2]],
-                        edge_val[tris[:, 1], tris[:, 2]],
-                    ),
-                )
-                vals = np.maximum(vals, emax)
-                for t, v in zip(tris.tolist(), vals.tolist()):
-                    simplices.append((tuple(t), v))
-                if max_dim >= 3:
-                    tri_set = {tuple(t): v for t, v in zip(tris.tolist(), vals.tolist())}
-                    count = 0
-                    for verts in itertools.combinations(range(n), 4):
-                        faces = list(itertools.combinations(verts, 3))
-                        if any(f not in tri_set for f in faces):
-                            continue
-                        count += 1
-                        if count > _BUDGET:
-                            raise RuntimeError("tetrahedron enumeration over budget")
-                        v = value_fn_hi(points, verts)
-                        v = max(v, max(tri_set[f] for f in faces))
-                        if v <= max_value:
-                            simplices.append((verts, v))
+        # summed one coordinate at a time: no (n, n, d) difference array
+        edge_val = np.zeros((n, n))
+        for x in points.T:
+            diff = x[:, None] - x
+            edge_val += np.square(diff, out=diff)
+        np.sqrt(edge_val, out=edge_val)
+        edge_val /= 2.0
+        order = np.arange(n)
+        up = (edge_val <= max_value) & (order[:, None] < order)
+        faces, values = np.argwhere(up), edge_val[up]
+        for dim in range(1, max_dim + 1):
+            if dim > 1:
+                if not len(faces):
+                    break
+                faces, values = _cofaces(points, faces, values, up, max_value, value_fn)
+            simplices.extend(zip(map(tuple, faces.tolist()), values.tolist()))
     simplices.sort(key=_sort_key)
     return FilteredComplex(tuple(simplices), max_dim=max_dim, n_points=n)
 
@@ -219,33 +244,15 @@ def cech_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
     """Cech filtration: simplex value = minimal enclosing ball radius."""
     if max_dim > 3:
         raise ValueError("max_dim above 3 is not supported")
-
-    def tri_vals(pts, tris, edge_val):
-        return _circumradius3(pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]])
-
-    def hi_val(pts, verts):
-        return miniball_radius(pts[list(verts)])
-
-    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val)
+    return _build_filtration(points, max_dim, max_value, _cech_value)
 
 
 def rips_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
-    """Rips filtration with value = diameter/2 (matches Cech on edges)."""
+    """Rips filtration with value = diameter/2 (matches Cech on edges).
+
+    A flag simplex's half-diameter is the maximum of its facets' values, so
+    no value function is needed above the edges.
+    """
     if max_dim > 3:
         raise ValueError("max_dim above 3 is not supported")
-
-    def tri_vals(pts, tris, edge_val):
-        return np.maximum(
-            edge_val[tris[:, 0], tris[:, 1]],
-            np.maximum(
-                edge_val[tris[:, 0], tris[:, 2]], edge_val[tris[:, 1], tris[:, 2]]
-            ),
-        )
-
-    def hi_val(pts, verts):
-        sub = pts[list(verts)]
-        return 0.5 * float(
-            np.max(np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1))
-        )
-
-    return _build_filtration(points, max_dim, max_value, tri_vals, hi_val)
+    return _build_filtration(points, max_dim, max_value, None)

@@ -18,11 +18,11 @@ from .diagrams import PersistenceDiagram
 __all__ = ["persistence", "betti_oracle"]
 
 
-def _reduce_block(rows, cols, row_index, cleared):
+def _reduce_block(cols, row_index, cleared):
     """Reduce one boundary block.
 
-    rows: list of (verts, value) for (k-1)-simplices in filtration order.
     cols: list of (verts, value) for k-simplices in filtration order.
+    row_index: position of each (k-1)-simplex in filtration order.
     cleared: column positions known to be births (skipped).
 
     Returns (pairs, positive, birth_rows): pairs are (row_pos, col_pos),
@@ -72,12 +72,11 @@ def persistence(
     for k in range(max_dim, 0, -1):
         rows, cols = groups[k - 1], groups[k]
         row_index = {verts: i for i, (verts, _v) in enumerate(rows)}
-        pairs, positive, birth_rows = _reduce_block(rows, cols, row_index, cleared)
+        pairs, positive, birth_rows = _reduce_block(cols, row_index, cleared)
         positive_by_dim[k] = set(positive)
         birth_rows_by_dim[k] = birth_rows
-        if k - 1 < max_dim:
-            for low, j in pairs:
-                pairs_by_dim[k - 1].append((rows[low][1], cols[j][1]))
+        for low, j in pairs:
+            pairs_by_dim[k - 1].append((rows[low][1], cols[j][1]))
         cleared = birth_rows
     positive_by_dim[0] = set(range(len(groups[0])))
 

@@ -534,7 +534,7 @@ def run_limit_check(cfg: RunConfig, workers=1):
                 pts = pts[keep]
             scaled = pts / r_n
             # H_k needs simplices up to dimension k+1 only
-            fc = cech_filtration(scaled, max_dim=min(k + 1, 3), max_value=v_max)
+            fc = cech_filtration(scaled, max_dim=k + 1, max_value=v_max)
             dgms = persistence(fc)
             dg = next((x for x in dgms if x.dim == k), PersistenceDiagram(k, np.zeros((0, 2))))
             for name, r in sorted(rects.items()):

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from measureboost.cli import main
 from measureboost.graphs import load_graph_json
-from measureboost.measures import load_dataset_jsonl
+from measureboost.measures import LabeledDataset, Measure, load_dataset_jsonl, save_dataset_jsonl
 from measureboost.ph.diagrams import load_diagrams_jsonl
 
 
@@ -129,6 +130,30 @@ def test_bad_model_json_is_io_error(tmp_path):
          "--max-value", "0.5"])
     assert run(["predict", "--model", str(model), "--input", str(dgms),
                 "--out", str(tmp_path / "p.jsonl")]) == 4
+
+
+def test_ph_over_budget_fails_before_allocating(tmp_path, capsys):
+    # the default --max-value inf on 400 points gives C(400, 3) > 10^7 candidate
+    # triangles; the guard must fire before their arrays (hundreds of MB) exist
+    pts = np.random.default_rng(0).uniform(0, 1, size=(400, 3))
+    data = tmp_path / "d.jsonl"
+    save_dataset_jsonl(LabeledDataset((Measure(pts),), np.array([0])), data)
+    tracemalloc.start()
+    try:
+        code = run(["ph", "--input", str(data), "--output", str(tmp_path / "dg.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    assert "budget" in capsys.readouterr().err
+    assert peak < 100e6
+
+
+def test_limit_check_above_degree_2_fails_before_writing(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[setup]\nk = 3\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
+    assert not (tmp_path / "limit_check.csv").exists()
 
 
 def test_bottleneck_missing_dim_is_value_error(tmp_path):

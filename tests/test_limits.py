@@ -151,6 +151,12 @@ def test_mu_rejects_infinite_v_and_tiny_n():
         mu_k_montecarlo(1.0, 1, 2, Rectangle(0.1, 0.2, 0.3, 0.4), 1, 0)
 
 
+def test_mu_rejects_degree_above_2():
+    # H_3 dies by 4-simplices, which no builder makes, so the estimate would read 0
+    with pytest.raises(ValueError, match="dimension 3"):
+        mu_k_montecarlo(1.0, 3, 4, Rectangle(0.05, 0.7, 0.7, 0.85), 10, 0)
+
+
 # --- Rademacher complexity ---------------------------------------------------
 
 

@@ -1,10 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from measureboost.measures import Measure
 from measureboost.ph import cech_filtration, persistence, rips_filtration
-from measureboost.ph.complexes import miniball_radius
+from measureboost.ph.complexes import _circumradius3, _dedup_points, miniball_radius
 from measureboost.ph.diagrams import (
     PersistenceDiagram,
     diagram_to_measure,
@@ -78,6 +81,71 @@ def test_max_value_truncates():
     pts = rng.normal(size=(12, 2))
     fc = cech_filtration(pts, max_dim=2, max_value=0.4)
     assert all(v <= 0.4 for _, v in fc.simplices)
+
+
+def brute_force_filtration(points, max_dim, max_value, cech):
+    """Every vertex subset up to max_dim + 1 vertices, valued as the builders value it.
+
+    A subset enters iff all of its facets entered and its value is <= max_value;
+    the value is the half distance for edges and, above, the Cech radius or
+    nothing (Rips) raised to the facet maximum.
+    """
+    pts = _dedup_points(np.asarray(points, dtype=float))
+    values = {(i,): 0.0 for i in range(len(pts))}
+    for size in range(2, max_dim + 2):
+        for verts in itertools.combinations(range(len(pts)), size):
+            facets = list(itertools.combinations(verts, size - 1))
+            if any(f not in values for f in facets):
+                continue
+            if size == 2:
+                p, q = pts[list(verts)]
+                value = math.sqrt(sum((a - b) * (a - b) for a, b in zip(p.tolist(), q.tolist()))) / 2.0
+            else:
+                value = max(values[f] for f in facets)
+                if cech and size == 3:
+                    # rows of one triple, as the builder passes them: 1-D sums may round differently
+                    value = max(value, float(_circumradius3(*pts[list(verts), None])[0]))
+                elif cech:
+                    value = max(value, miniball_radius(pts[list(verts)]))
+            if value <= max_value:
+                values[verts] = value
+    return tuple(sorted(values.items(), key=lambda s: (s[1], len(s[0]), s[0])))
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Small clouds on half grids, lines and circles, often with a repeated point."""
+    n, d = draw(st.integers(0, 9)), draw(st.integers(1, 3))
+    layout = draw(st.sampled_from(["grid", "line", "circle", "uniform"]))
+    if layout == "grid":
+        pts = np.array(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))) / 2.0
+    elif layout == "line":
+        t = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) / 2.0
+        pts = t[:, None] * np.array([1.0, 2.0, -1.0][:d])
+    elif layout == "circle" and d > 1:
+        angles = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) * np.pi / 4
+        pts = np.zeros((n, d))
+        pts[:, 0], pts[:, 1] = np.cos(angles), np.sin(angles)
+    else:
+        floats = st.floats(0.0, 2.0, allow_nan=False)
+        pts = np.array(draw(st.lists(floats, min_size=n * d, max_size=n * d)))
+    pts = pts.reshape(n, d)
+    if n > 1 and draw(st.booleans()):
+        pts[-1] = pts[0]
+    return pts
+
+
+@given(
+    degenerate_clouds(),
+    st.integers(0, 3),
+    st.sampled_from([0.3, 0.6, 1.0, np.inf]),
+    st.sampled_from(["cech", "rips"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_builders_match_all_subsets_enumeration(pts, max_dim, max_value, kind):
+    build = cech_filtration if kind == "cech" else rips_filtration
+    fc = build(pts, max_dim=max_dim, max_value=max_value)
+    assert fc.simplices == brute_force_filtration(pts, max_dim, max_value, kind == "cech")
 
 
 @given(st.integers(0, 2**31 - 1))
