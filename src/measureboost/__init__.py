@@ -10,6 +10,6 @@ from .measures import (
     mass_in_region,
     mbar_p,
 )
-from .regions import Ball, AxisRect, SmoothParams, contains, dist_to_ball, smooth_feature, sigmoid
+from .regions import Ball, AxisRect, contains
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import LabeledDataset, Measure, mass_matrix
+from .measures import LabeledDataset, mass_matrix
 from .weak import WeakClassifier
 
 __all__ = [
@@ -45,10 +45,6 @@ class Ensemble:
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def score(self, mu: Measure) -> float:
-        """Signed vote: positive means label 1."""
-        return sum(alpha * (2 * h.predict(mu) - 1) for h, alpha in self.stages)
-
     def to_json(self) -> dict:
         return {
             "labels": list(self.labels),
@@ -66,22 +62,34 @@ class Ensemble:
         return Ensemble(stages, tuple(obj["labels"]))
 
 
-def ensemble_predict(ensemble: Ensemble, mu: Measure) -> int:
-    """Weighted vote; an exact zero score resolves to the first label."""
-    lo, hi = ensemble.labels
-    return hi if ensemble.score(mu) > 0 else lo
+def _staged_scores(ensemble: Ensemble, masses: np.ndarray):
+    """Signed vote per measure after each stage, from the stage regions'
+    `mass_matrix` rows, summed in stage order from 0.0; > 0 means label 1."""
+    scores = np.zeros(masses.shape[1])
+    for (h, alpha), row in zip(ensemble.stages, masses):
+        scores = scores + alpha * (2 * h.predict_masses(row) - 1)
+        yield scores
+
+
+def _predict_all(ensembles, measures) -> list:
+    """Each ensemble's labels per measure, from one `mass_matrix` over all their
+    stage regions; an exact zero score resolves to the first label."""
+    masses = mass_matrix(measures, [h.region for ens in ensembles for h, _ in ens.stages])
+    splits = np.cumsum([len(ens.stages) for ens in ensembles])[:-1]
+    finals = [list(_staged_scores(ens, rows))[-1] for ens, rows in zip(ensembles, np.split(masses, splits))]
+    return [np.asarray(ens.labels)[(s > 0).astype(int)] for ens, s in zip(ensembles, finals)]
+
+
+def ensemble_predict(ensemble: Ensemble, measures) -> np.ndarray:
+    """Weighted vote per measure; an exact zero score resolves to the first label."""
+    return _predict_all([ensemble], measures)[0]
 
 
 def staged_training_error(ensemble: Ensemble, data: LabeledDataset) -> list:
     """Training 0-1 error after each prefix of stages."""
-    scores = np.zeros(len(data))
-    errors = []
-    y01 = (data.labels == ensemble.labels[1]).astype(int)
+    y01 = data.labels == ensemble.labels[1]
     masses = mass_matrix(data.measures, [h.region for h, _ in ensemble.stages])
-    for (h, alpha), row in zip(ensemble.stages, masses):
-        scores += alpha * (2 * h.predict_masses(row) - 1)
-        errors.append(float(np.mean((scores > 0).astype(int) != y01)))
-    return errors
+    return [float(np.mean((s > 0) != y01)) for s in _staged_scores(ensemble, masses)]
 
 
 def adaboost_fit(
@@ -99,7 +107,9 @@ def adaboost_fit(
     fraction of the data; the error and reweighting always use the full
     dataset.  Stops early on a perfect round (error ~ 0, stage kept with
     capped alpha) or a useless one (error >= 0.5 after round 1, stage
-    discarded).
+    discarded).  Round 0 is always kept, so the ensemble is never empty; its
+    alpha is negative when its error exceeds 0.5, and the vote then flips
+    that stage's predictions.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -131,7 +141,7 @@ def adaboost_fit(
             h, _ = learner(sub, sub_w, rng)
         else:
             h, _ = learner(data01, w, rng)
-        miss = h.predict_masses(mass_matrix(data.measures, (h.region,))[0]) != data01.labels
+        miss = h.predict(data.measures) != data01.labels
         err = float(w[miss].sum())
         if err >= 0.5 and t > 0:
             break
@@ -142,8 +152,6 @@ def adaboost_fit(
             break
         w = w * np.exp(np.where(miss, alpha, -alpha))
         w = w / w.sum()
-    if not stages:  # first round already useless: keep it anyway (alpha >= 0)
-        raise RuntimeError("adaboost produced no stages")
     return Ensemble(tuple(stages), (labels[0], labels[1]))
 
 
@@ -189,9 +197,10 @@ def one_vs_one_fit(
     return OneVsOneModel(models, tuple(labels))
 
 
-def one_vs_one_predict(model: OneVsOneModel, mu: Measure) -> int:
-    """Pairwise vote count; ties break toward the smallest class id."""
-    votes = {c: 0 for c in model.labels}
-    for (a, b), ens in model.models.items():
-        votes[ensemble_predict(ens, mu)] += 1
-    return max(sorted(votes), key=lambda c: votes[c])
+def one_vs_one_predict(model: OneVsOneModel, measures) -> np.ndarray:
+    """Pairwise vote count per measure; ties break toward the smallest class id."""
+    classes = np.sort(np.asarray(model.labels))
+    votes = np.zeros((len(classes), len(measures)), dtype=int)
+    for preds in _predict_all(list(model.models.values()), measures):
+        votes[np.searchsorted(classes, preds), np.arange(len(measures))] += 1
+    return classes[np.argmax(votes, axis=0)]  # argmax takes the first maximum

@@ -105,26 +105,25 @@ def _train(args) -> int:
 def _load_model(path):
     with open(path) as fh:
         obj = json.load(fh)
-    model = OneVsOneModel.from_json(obj) if obj.get("kind") == "one-vs-one" else Ensemble.from_json(obj)
-    return lambda mu: classifier_predict(model, mu)
+    return OneVsOneModel.from_json(obj) if obj.get("kind") == "one-vs-one" else Ensemble.from_json(obj)
 
 
 def _predict(args) -> int:
-    predict = _load_model(args.model)
+    model = _load_model(args.model)
     meas, _ = _features(args.input, args.dims, args.truncation)
+    preds = classifier_predict(model, meas)
     with open(args.out, "w") as fh:
-        for i, mu in enumerate(meas):
-            fh.write(json.dumps({"cloud": i, "prediction": int(predict(mu))}) + "\n")
+        for i, y in enumerate(preds):
+            fh.write(json.dumps({"cloud": i, "prediction": int(y)}) + "\n")
     return 0
 
 
 def _eval(args) -> int:
-    predict = _load_model(args.model)
+    model = _load_model(args.model)
     meas, labels = _features(args.input, args.dims, args.truncation)
     if any(y is None for y in labels):
         raise ValueError("evaluation diagrams must carry a label field")
-    preds = [predict(mu) for mu in meas]
-    report = evaluate(np.array(labels), np.array(preds))
+    report = evaluate(np.array(labels), classifier_predict(model, meas))
     if args.out:
         report.save(args.out, include_timings=False)
     print(f"accuracy {report.accuracy:.4f}")

@@ -2,8 +2,8 @@
 sublevel filtrations of a vertex function.
 
 The heat-kernel signature needs the full spectrum of the symmetric
-normalized Laplacian; it is computed with an in-repo cyclic Jacobi
-eigensolver and cross-checked against a dense solver in the tests.
+normalized Laplacian; it comes from `numpy.linalg.eigh` and is checked
+against the closed forms of cycle and complete graphs in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .ph.diagrams import PersistenceDiagram
 __all__ = [
     "Graph",
     "normalized_laplacian",
-    "jacobi_eigh",
     "graph_hks",
     "graph_sublevel_diagrams",
     "save_graph_json",
@@ -64,50 +63,11 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def jacobi_eigh(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).
-    """
-    A = np.array(M, dtype=float)
-    n = len(A)
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A**2) - np.sum(np.diag(A) ** 2), 0.0))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2 * A[p, q])
-                if theta == 0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1))
-                c = 1.0 / np.sqrt(t**2 + 1)
-                s = t * c
-                # apply the rotation to rows/columns p and q only
-                Ap, Aq = A[p].copy(), A[q].copy()
-                A[p] = c * Ap - s * Aq
-                A[q] = s * Ap + c * Aq
-                Ap, Aq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Vp, Vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-    idx = np.argsort(np.diag(A), kind="stable")
-    return np.diag(A)[idx], V[:, idx]
-
-
 def graph_hks(g: Graph, t: float = 10.0) -> np.ndarray:
     """Heat-kernel signature per vertex: sum_k exp(-t lam_k) psi_k(v)^2."""
     if g.n == 0:
         raise ValueError("empty graph")
-    lam, psi = jacobi_eigh(normalized_laplacian(g))
+    lam, psi = np.linalg.eigh(normalized_laplacian(g))
     return (psi**2) @ np.exp(-t * lam)
 
 

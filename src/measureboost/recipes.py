@@ -181,11 +181,10 @@ def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, s
     return adaboost_fit(train, rounds, learner, seed=seed + 11)
 
 
-def classifier_predict(model, mu: Measure) -> int:
-    """Label predicted by a `fit_classifier` model of either kind."""
-    if isinstance(model, OneVsOneModel):
-        return one_vs_one_predict(model, mu)
-    return ensemble_predict(model, mu)
+def classifier_predict(model, measures) -> np.ndarray:
+    """Labels predicted by a `fit_classifier` model of either kind."""
+    predict = one_vs_one_predict if isinstance(model, OneVsOneModel) else ensemble_predict
+    return predict(model, measures)
 
 
 def emit_rectangle_trace(ensemble, path) -> None:
@@ -259,11 +258,10 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    preds = [classifier_predict(model, m) for m in test.measures]
+    preds = classifier_predict(model, test.measures)
     binary = isinstance(model, Ensemble)
     if binary:
-        h0 = model.stages[0][0]
-        weak_preds = np.array(model.labels)[h0.predict_masses(mass_matrix(test.measures, (h0.region,))[0])]
+        weak_preds = np.array(model.labels)[model.stages[0][0].predict(test.measures)]
         weak_acc = float(np.mean(weak_preds == test.labels))
     timings["evaluate"] = time.perf_counter() - t0
 

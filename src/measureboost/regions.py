@@ -1,5 +1,4 @@
-"""Geometric regions (closed Euclidean balls, axis-aligned boxes) and the
-smoothed ball feature used by the gradient-descent weak learner.
+"""Geometric regions: closed Euclidean balls and axis-aligned boxes.
 
 Regions are closed: a support point sitting exactly on the boundary counts
 as inside.  This makes grid searches reproducible since ties never depend on
@@ -13,17 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Measure
-
 __all__ = [
     "Ball",
     "AxisRect",
-    "SmoothParams",
     "contains",
-    "dist_to_ball",
-    "smooth_terms",
-    "smooth_feature",
-    "sigmoid",
     "region_to_json",
     "region_from_json",
 ]
@@ -93,60 +85,6 @@ def contains(region: Region, x) -> bool:
     """Closed membership test for a single point."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     return bool(region.contains_many(x)[0])
-
-
-def dist_to_ball(ball: Ball, x) -> float:
-    """Euclidean set distance to a closed ball: max(0, ||x - C|| - r)."""
-    x = np.asarray(x, dtype=float)
-    return max(0.0, float(np.linalg.norm(x - ball.center)) - ball.radius)
-
-
-@dataclass(frozen=True)
-class SmoothParams:
-    """Parameters of the smoothed ball feature: center, radius, threshold, scale."""
-
-    center: np.ndarray
-    radius: float
-    threshold: float
-    scale: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-
-def smooth_terms(points: np.ndarray, p: SmoothParams):
-    """Per point: distance d to the center, gap g = max(0, d - radius) to the
-    ball, and decay exp(-g / scale)."""
-    d = np.linalg.norm(points - p.center, axis=1)
-    g = np.maximum(0.0, d - p.radius)
-    return d, g, np.exp(-g / p.scale)
-
-
-def smooth_feature(mu: Measure, p: SmoothParams) -> float:
-    """Integral of exp(-dist(ball, x)/scale) against mu, minus the threshold.
-
-    Converges to mass_in_region(mu, ball) - threshold as scale -> 0 when no
-    support point sits exactly on the ball boundary.
-    """
-    if len(mu) == 0:
-        return -p.threshold
-    return float(mu.weights @ smooth_terms(mu.points, p)[2]) - p.threshold
-
-
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
 
 
 # --- JSON encoding --------------------------------------------------------

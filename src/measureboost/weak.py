@@ -1,10 +1,7 @@
 """Weak classifiers on measures: a region, a mass threshold and a sign.
 
-Two trainers are provided.  `exhaustive_search` scans a discretized grid of
-regions x thresholds x orientations for the weighted 0-1 loss minimizer.
-`smooth_train` runs (restarted) gradient descent on a cross-entropy loss of
-the sigmoid of the smoothed ball feature, then hardens the result back to a
-threshold classifier.
+`exhaustive_search` is the trainer: it scans a discretized grid of regions x
+thresholds x orientations for the weighted 0-1 loss minimizer.
 
 The decision rule is strict: predict label 1 iff sign * (mass - threshold) > 0.
 Ties at exactly the threshold therefore predict label 0, deterministically.
@@ -17,20 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import LabeledDataset, Measure, mass_in_region, mass_matrix
-from .regions import AxisRect, Ball, SmoothParams, region_from_json, region_to_json
-from .regions import sigmoid, smooth_feature, smooth_terms
+from .measures import LabeledDataset, mass_matrix
+from .regions import AxisRect, Ball, region_from_json, region_to_json
 
 __all__ = [
     "WeakClassifier",
     "GridSpec",
-    "SmoothTrainConfig",
     "weighted_error",
     "exhaustive_search",
     "kmeans_centers",
-    "cross_entropy_loss",
-    "cross_entropy_grad",
-    "smooth_train",
     "default_thresholds",
 ]
 
@@ -47,8 +39,9 @@ class WeakClassifier:
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
 
-    def predict(self, mu: Measure) -> int:
-        return int(self.predict_masses(mass_in_region(mu, self.region)))
+    def predict(self, measures) -> np.ndarray:
+        """0/1 prediction per measure, from one `mass_matrix` row."""
+        return self.predict_masses(mass_matrix(measures, (self.region,))[0])
 
     def predict_masses(self, masses) -> np.ndarray:
         """Predictions from region masses, e.g. this region's `mass_matrix` row."""
@@ -109,20 +102,6 @@ class GridSpec:
         return GridSpec(tuple(regions), thresholds)
 
 
-@dataclass(frozen=True)
-class SmoothTrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 60
-    restarts: int = 8
-    batch_size: int = 32
-    init_scale: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.learning_rate, self.epochs, self.restarts, self.batch_size, self.init_scale) <= 0:
-            raise ValueError("all smooth-train parameters must be positive")
-
-
 def _check_weights(w, n):
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
@@ -136,8 +115,7 @@ def weighted_error(h: WeakClassifier, data: LabeledDataset, w=None) -> float:
     """Weighted 0-1 error; uniform weights when w is None."""
     n = len(data)
     w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
-    preds = h.predict_masses(mass_matrix(data.measures, (h.region,))[0])
-    return float(w[preds != data.labels].sum())
+    return float(w[h.predict(data.measures) != data.labels].sum())
 
 
 def default_thresholds(masses: np.ndarray) -> np.ndarray:
@@ -221,117 +199,3 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0, iters: int = 100, 
         if shift < tol:
             break
     return centers
-
-
-# --- smoothed objective ----------------------------------------------------
-
-_CLAMP = 1e-12
-
-
-def cross_entropy_loss(p: SmoothParams, data: LabeledDataset, w=None) -> float:
-    """Cross-entropy of sigmoid(smooth feature) against binary labels.
-
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the log.  With
-    example weights w, terms are scaled by N * w_i so that uniform weights
-    recover the unweighted loss.
-    """
-    y = data.labels
-    if not set(np.unique(y)) <= {0, 1}:
-        raise ValueError("labels must be binary")
-    n = len(data)
-    scale_w = np.ones(n) if w is None else n * _check_weights(w, n)
-    f = np.array([smooth_feature(mu, p) for mu in data.measures])
-    prob = np.clip(sigmoid(f), _CLAMP, 1 - _CLAMP)
-    return float(-(scale_w * (y * np.log(prob) + (1 - y) * np.log(1 - prob))).sum())
-
-
-def cross_entropy_grad(p: SmoothParams, data: LabeledDataset, w=None, idx=None):
-    """Gradient of the cross-entropy loss wrt (center, radius, threshold, scale).
-
-    idx restricts to a mini-batch of example indices.
-    """
-    n = len(data)
-    scale_w = np.ones(n) if w is None else n * _check_weights(w, n)
-    idx = range(n) if idx is None else idx
-    gc = np.zeros_like(p.center)
-    gr = gs = gsig = 0.0
-    for i in idx:
-        mu, y = data.measures[i], data.labels[i]
-        if len(mu) == 0:  # the feature is -threshold, constant in everything else
-            gs -= scale_w[i] * (sigmoid(-p.threshold) - y)
-            continue
-        d, g, e = smooth_terms(mu.points, p)
-        dldf = scale_w[i] * (sigmoid(float(mu.weights @ e) - p.threshold) - y)
-        active = g > 0
-        coef = mu.weights * e / p.scale
-        if np.any(active):
-            safe_d = np.where(d > 0, d, 1.0)
-            direction = (mu.points - p.center) / safe_d[:, None]
-            gc += dldf * (coef[active, None] * direction[active]).sum(axis=0)
-        gr += dldf * float(coef[active].sum())
-        gsig += dldf * float((mu.weights * e * g).sum()) / p.scale**2
-        gs -= dldf
-    return gc, gr, gs, gsig
-
-
-def _pairwise_distance_sample(pool: np.ndarray, rng, cap: int = 2000):
-    if len(pool) < 2:
-        return np.array([1.0])
-    i = rng.integers(0, len(pool), size=cap)
-    j = rng.integers(0, len(pool), size=cap)
-    d = np.linalg.norm(pool[i] - pool[j], axis=1)
-    d = d[d > 0]
-    return d if len(d) else np.array([1.0])
-
-
-def smooth_train(data: LabeledDataset, cfg: SmoothTrainConfig, w=None):
-    """Restarted SGD on the smoothed objective, for both label orientations.
-
-    Each restart initializes the center at a random support point, the
-    radius at a random pairwise-distance quantile, the threshold at the
-    median candidate mass and the scale at cfg.init_scale.  The returned
-    classifier is the hardened (ball, threshold, sign) with the lowest
-    weighted 0-1 training error over all runs.
-
-    Returns (WeakClassifier, training_error).
-    """
-    y = data.labels
-    if not set(np.unique(y)) <= {0, 1}:
-        raise ValueError("labels must be binary")
-    n = len(data)
-    w_arr = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
-    rng = np.random.default_rng(cfg.seed)
-    support = [x for mu in data.measures for x in mu.points]
-    if not support:
-        raise ValueError("dataset has no support points")
-    support = np.array(support)
-    dists = _pairwise_distance_sample(support, rng)
-    best = None
-    for sign in (1, -1):
-        flipped = data if sign == 1 else LabeledDataset(data.measures, 1 - y)
-        for _ in range(cfg.restarts):
-            center = support[rng.integers(len(support))].copy()
-            radius = float(np.quantile(dists, rng.uniform()))
-            scale = cfg.init_scale
-            unthresholded = SmoothParams(center, radius, 0.0, scale)
-            masses = [smooth_feature(mu, unthresholded) for mu in flipped.measures]
-            threshold = float(np.median(masses))
-            params = SmoothParams(center, radius, threshold, scale)
-            for _ in range(cfg.epochs):
-                order = rng.permutation(n)
-                for start in range(0, n, cfg.batch_size):
-                    batch = order[start : start + cfg.batch_size]
-                    gc, gr, gs, gsig = cross_entropy_grad(params, flipped, w_arr, batch)
-                    params = SmoothParams(
-                        params.center - cfg.learning_rate * gc,
-                        max(0.0, params.radius - cfg.learning_rate * gr),
-                        params.threshold - cfg.learning_rate * gs,
-                        max(1e-3, params.scale - cfg.learning_rate * gsig),
-                    )
-            hard = WeakClassifier(
-                Ball(params.center, params.radius), params.threshold, sign
-            )
-            err = weighted_error(hard, data, w_arr)
-            if best is None or err < best[1]:
-                best = (hard, err)
-    return best

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from measureboost import boosting
 from measureboost.boosting import (
     Ensemble,
     OneVsOneModel,
@@ -70,8 +71,20 @@ def test_constant_labels_give_constant_stage():
     grid = GridSpec.balls([np.zeros(2)], [1.0], thresholds=(0.5,))
     ens = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
     assert len(ens.stages) == 1
-    preds = [ensemble_predict(ens, m) for m in ms]
-    assert preds == [1, 1, 1, 1]
+    assert ensemble_predict(ens, ms).tolist() == [1, 1, 1, 1]
+
+
+def test_useless_first_round_is_kept_with_negative_alpha():
+    # empty measures have mass 0 everywhere: both orientations predict 0 and
+    # miss the three 1-labels, so round 0's error is 0.75
+    ms = tuple(Measure(np.zeros((0, 2))) for _ in range(4))
+    data = LabeledDataset(ms, np.array([0, 1, 1, 1]))
+    grid = GridSpec.balls([np.zeros(2)], [1.0])
+    ens = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
+    assert len(ens.stages) == 1
+    assert ens.stages[0][1] == pytest.approx(0.5 * np.log(0.25 / 0.75))
+    assert ensemble_predict(ens, ms).tolist() == [1, 1, 1, 1]
+    assert staged_training_error(ens, data) == [0.25]
 
 
 def test_boosting_beats_single_weak_on_xor():
@@ -108,9 +121,7 @@ def test_tie_score_resolves_to_first_label():
     h = WeakClassifier(Ball(np.zeros(2), 1.0), 10.0, 1)  # always predicts 0
     hflip = WeakClassifier(Ball(np.zeros(2), 1.0), -10.0, 1)  # always predicts 1
     ens = Ensemble(((h, 1.0), (hflip, 1.0)), labels=(0, 1))
-    mu = unit([[0.0, 0.0]])
-    assert ens.score(mu) == 0.0
-    assert ensemble_predict(ens, mu) == 0
+    assert ensemble_predict(ens, [unit([[0.0, 0.0]]), Measure(np.zeros((0, 2)))]).tolist() == [0, 0]
 
 
 def test_ensemble_json_roundtrip():
@@ -120,8 +131,7 @@ def test_ensemble_json_roundtrip():
     back = Ensemble.from_json(ens.to_json())
     assert back.labels == ens.labels
     assert len(back.stages) == len(ens.stages)
-    for m in data.measures:
-        assert ensemble_predict(back, m) == ensemble_predict(ens, m)
+    np.testing.assert_array_equal(ensemble_predict(back, data.measures), ensemble_predict(ens, data.measures))
 
 
 def test_subsample_reweights_on_full_data():
@@ -151,8 +161,53 @@ def test_one_vs_one_multiclass():
     )
     model = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
     assert len(model.models) == 3
-    preds = [one_vs_one_predict(model, m) for m in data.measures]
-    assert np.mean(np.array(preds) == data.labels) == 1.0
+    np.testing.assert_array_equal(one_vs_one_predict(model, data.measures), data.labels)
+
+
+def _reference_vote(ens, mu):
+    # one measure at a time, the stage votes summed by Python in stage order
+    score = sum(alpha * (2 * int(h.predict([mu])[0]) - 1) for h, alpha in ens.stages)
+    return ens.labels[1] if score > 0 else ens.labels[0]
+
+
+def test_one_vs_one_predict_is_one_mass_matrix_pass(monkeypatch):
+    data = three_class_data()
+    grid = GridSpec.balls([np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0, 3.0])
+    fitted = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
+    # every class wins one pair, (0, 1) by an exact zero score, so every
+    # measure is a three-way tie that goes to class 0
+    always = lambda y: WeakClassifier(Ball(np.zeros(2), 1.0), -1.0, 1 if y else -1)
+    cyclic = OneVsOneModel(
+        {(1, 2): Ensemble(((always(0), 0.7),), (1, 2)),
+         (0, 2): Ensemble(((always(1), 0.4),), (0, 2)),
+         (0, 1): Ensemble(((always(1), 0.2), (always(0), 0.2)), (0, 1))},
+        (2, 1, 0),
+    )
+    ms = data.measures + (Measure(np.zeros((0, 2))),)
+    for model in (fitted, cyclic):
+        expected = []
+        for mu in ms:
+            votes = {c: 0 for c in model.labels}
+            for ens in model.models.values():
+                votes[_reference_vote(ens, mu)] += 1
+            expected.append(max(sorted(votes), key=lambda c: votes[c]))
+        calls = []
+        plain = boosting.mass_matrix
+        monkeypatch.setattr(boosting, "mass_matrix", lambda m, r: calls.append(len(r)) or plain(m, r))
+        preds = one_vs_one_predict(model, ms)
+        monkeypatch.undo()
+        assert calls == [sum(len(e.stages) for e in model.models.values())]
+        assert preds.tolist() == expected
+    assert set(preds.tolist()) == {0}
+
+
+def test_ensemble_predict_matches_per_measure_votes():
+    for seed in range(3):
+        data = xor_like_data(seed)
+        ens = adaboost_fit(data, rounds=8, learner=grid_learner(GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])))
+        assert ensemble_predict(ens, data.measures).tolist() == [_reference_vote(ens, mu) for mu in data.measures]
+        errors = staged_training_error(ens, data)
+        assert errors[-1] == np.mean(ensemble_predict(ens, data.measures) != data.labels)
 
 
 def test_one_vs_one_json_roundtrip():
@@ -160,8 +215,7 @@ def test_one_vs_one_json_roundtrip():
     grid = GridSpec.balls([np.zeros(2), np.array([5.0, 0.0])], [1.0])
     model = one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
     back = OneVsOneModel.from_json(model.to_json())
-    for m in data.measures:
-        assert one_vs_one_predict(back, m) == one_vs_one_predict(model, m)
+    np.testing.assert_array_equal(one_vs_one_predict(back, data.measures), one_vs_one_predict(model, data.measures))
 
 
 def test_one_vs_one_needs_two_classes():

@@ -6,9 +6,7 @@ from measureboost.graphs import (
     Graph,
     graph_hks,
     graph_sublevel_diagrams,
-    jacobi_eigh,
     load_graph_json,
-    normalized_laplacian,
     save_graph_json,
 )
 
@@ -21,34 +19,28 @@ def path_graph(n):
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
-# --- eigensolver vs the independent dense solver ----------------------------
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_jacobi_matches_numpy_eigh(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 31))
-    A = rng.normal(size=(n, n))
-    M = (A + A.T) / 2
-    lam, V = jacobi_eigh(M)
-    lam_ref = np.linalg.eigvalsh(M)
-    np.testing.assert_allclose(lam, lam_ref, atol=1e-8)
-    # eigenvectors reconstruct the matrix (slightly looser: the sweep stops
-    # on the off-diagonal norm, so reconstruction error scales with ||M||)
-    np.testing.assert_allclose(V @ np.diag(lam) @ V.T, M, atol=1e-7)
-    np.testing.assert_allclose(V.T @ V, np.eye(n), atol=1e-8)
-
-
-def test_jacobi_on_laplacian():
-    g = cycle_graph(6)
-    L = normalized_laplacian(g)
-    lam, _ = jacobi_eigh(L)
-    np.testing.assert_allclose(lam, np.linalg.eigvalsh(L), atol=1e-10)
-    assert lam[0] == pytest.approx(0.0, abs=1e-10)
+def complete_graph(n):
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 # --- heat-kernel signature ---------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [0.1, 2.5, 10.0])
+def test_hks_cycle_closed_form(t):
+    # C_n has normalized-Laplacian eigenvalues 1 - cos(2 pi k / n), and every
+    # vertex sees the mean of their heat factors
+    for n in range(3, 31):
+        expected = np.mean(np.exp(-t * (1 - np.cos(2 * np.pi * np.arange(n) / n))))
+        np.testing.assert_allclose(graph_hks(cycle_graph(n), t), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.5, 10.0])
+def test_hks_complete_closed_form(t):
+    # K_n has eigenvalue 0 once and n / (n - 1) with multiplicity n - 1
+    for n in range(3, 31):
+        expected = (1 + (n - 1) * np.exp(-t * n / (n - 1))) / n
+        np.testing.assert_allclose(graph_hks(complete_graph(n), t), expected, rtol=0, atol=1e-12)
 
 
 def test_hks_constant_on_vertex_transitive_graph():

@@ -3,17 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from measureboost.measures import LabeledDataset, Measure
-from measureboost.regions import Ball, SmoothParams
+from measureboost.regions import Ball
 from measureboost.weak import (
     GridSpec,
-    SmoothTrainConfig,
     WeakClassifier,
-    cross_entropy_grad,
-    cross_entropy_loss,
     default_thresholds,
     exhaustive_search,
     kmeans_centers,
-    smooth_train,
     weighted_error,
 )
 
@@ -43,11 +39,10 @@ def test_predict_strict_threshold():
     h = WeakClassifier(Ball(np.zeros(2), 1.0), 2.0, 1)
     two_in = unit([[0, 0], [0.5, 0]])
     three_in = unit([[0, 0], [0.5, 0], [0, 0.5]])
-    assert h.predict(two_in) == 0  # mass == threshold -> 0
-    assert h.predict(three_in) == 1
+    # mass == threshold -> 0 in both orientations
+    assert h.predict([two_in, three_in]).tolist() == [0, 1]
     flipped = WeakClassifier(Ball(np.zeros(2), 1.0), 2.0, -1)
-    assert flipped.predict(two_in) == 0
-    assert flipped.predict(unit([[5, 5]])) == 1
+    assert flipped.predict([two_in, unit([[5, 5]])]).tolist() == [0, 1]
 
 
 def test_exhaustive_separable_toy():
@@ -130,83 +125,6 @@ def test_kmeans_deterministic_and_reasonable():
 def test_kmeans_k_too_large():
     with pytest.raises(ValueError):
         kmeans_centers(np.zeros((2, 2)), 3)
-
-
-# --- smoothed objective -----------------------------------------------------
-
-
-def test_cross_entropy_loss_positive():
-    data = random_dataset(1, n=6)
-    p = SmoothParams(np.zeros(2), 1.0, 1.0, 0.5)
-    assert cross_entropy_loss(p, data) > 0
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    data = random_dataset(3, n=5, pts=3)
-    p = SmoothParams(rng.normal(size=2), 0.8, 1.2, 0.6)
-    gc, gr, gs, gsig = cross_entropy_grad(p, data)
-    eps = 1e-5
-
-    def loss_at(center, radius, threshold, scale):
-        return cross_entropy_loss(SmoothParams(center, radius, threshold, scale), data)
-
-    for j in range(2):
-        dv = np.zeros(2)
-        dv[j] = eps
-        fd = (loss_at(p.center + dv, p.radius, p.threshold, p.scale)
-              - loss_at(p.center - dv, p.radius, p.threshold, p.scale)) / (2 * eps)
-        assert gc[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-    fd_r = (loss_at(p.center, p.radius + eps, p.threshold, p.scale)
-            - loss_at(p.center, p.radius - eps, p.threshold, p.scale)) / (2 * eps)
-    assert gr == pytest.approx(fd_r, rel=1e-4, abs=1e-7)
-    fd_s = (loss_at(p.center, p.radius, p.threshold + eps, p.scale)
-            - loss_at(p.center, p.radius, p.threshold - eps, p.scale)) / (2 * eps)
-    assert gs == pytest.approx(fd_s, rel=1e-4, abs=1e-7)
-    fd_sig = (loss_at(p.center, p.radius, p.threshold, p.scale + eps)
-              - loss_at(p.center, p.radius, p.threshold, p.scale - eps)) / (2 * eps)
-    assert gsig == pytest.approx(fd_sig, rel=1e-4, abs=1e-7)
-
-
-def test_smooth_train_separable_reaches_zero():
-    data = separable_toy()
-    cfg = SmoothTrainConfig(restarts=10, epochs=40, seed=1)
-    h, err = smooth_train(data, cfg)
-    assert err == 0.0
-    assert weighted_error(h, data) == 0.0
-
-
-def test_smooth_train_single_example():
-    data = LabeledDataset((unit([[0.0, 0.0]]),), np.array([1]))
-    _, err = smooth_train(data, SmoothTrainConfig(restarts=2, epochs=10, seed=0))
-    assert err == 0.0
-
-
-def test_smooth_train_deterministic():
-    data = random_dataset(11, n=8)
-    cfg = SmoothTrainConfig(restarts=2, epochs=5, seed=42)
-    h1, e1 = smooth_train(data, cfg)
-    h2, e2 = smooth_train(data, cfg)
-    assert e1 == e2
-    np.testing.assert_array_equal(h1.region.center, h2.region.center)
-    assert (h1.region.radius, h1.threshold, h1.sign) == (h2.region.radius, h2.threshold, h2.sign)
-
-
-def test_smooth_train_loss_descends():
-    # a couple of plain gradient steps from a fixed start lower the loss
-    data = separable_toy()
-    p = SmoothParams(np.array([1.5, 1.5]), 1.0, 2.0, 0.5)
-    losses = [cross_entropy_loss(p, data)]
-    for _ in range(5):
-        gc, gr, gs, gsig = cross_entropy_grad(p, data)
-        p = SmoothParams(
-            p.center - 0.01 * gc,
-            max(0.0, p.radius - 0.01 * gr),
-            p.threshold - 0.01 * gs,
-            max(1e-3, p.scale - 0.01 * gsig),
-        )
-        losses.append(cross_entropy_loss(p, data))
-    assert losses[-1] < losses[0]
 
 
 @given(st.integers(0, 2**31 - 1))
