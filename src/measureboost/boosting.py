@@ -2,9 +2,9 @@
 wrapper for multiclass problems.
 
 Discrete AdaBoost (Freund-Schapire): round weights start uniform, the weak
-learner is fit on the current weights, and examples are reweighted by
-exp(+-alpha).  Stage weights are capped by clamping the round error away
-from 0 and 1.
+learner `learner(data, weights)` is fit on the full dataset under the
+current weights, and examples are reweighted by exp(+-alpha).  Stage weights
+are capped by clamping the round error away from 0 and 1.
 """
 
 from __future__ import annotations
@@ -92,56 +92,31 @@ def staged_training_error(ensemble: Ensemble, data: LabeledDataset) -> list:
     return [float(np.mean((s > 0) != y01)) for s in _staged_scores(ensemble, masses)]
 
 
-def adaboost_fit(
-    data: LabeledDataset,
-    rounds: int,
-    learner: Callable,
-    seed: int = 0,
-    subsample: float = 1.0,
-    labels: tuple | None = None,
-) -> Ensemble:
+def adaboost_fit(data: LabeledDataset, rounds: int, learner: Callable) -> Ensemble:
     """Discrete AdaBoost over a weak learner.
 
-    learner(data, weights, rng) -> (WeakClassifier, weighted_error).  With
-    subsample < 1, each round fits the learner on a fresh seed-derived
-    fraction of the data; the error and reweighting always use the full
-    dataset.  Stops early on a perfect round (error ~ 0, stage kept with
-    capped alpha) or a useless one (error >= 0.5 after round 1, stage
+    learner(data, weights) -> (WeakClassifier, weighted_error), on the data
+    relabeled to {0, 1}: the two present labels, or (0, 1) for constant
+    {0, 1} labels.  Stops early on a perfect round (error ~ 0, stage kept
+    with capped alpha) or a useless one (error >= 0.5 after round 1, stage
     discarded).  Round 0 is always kept, so the ensemble is never empty; its
     alpha is negative when its error exceeds 0.5, and the vote then flips
     that stage's predictions.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if labels is None:
-        present = data.label_set
-        if len(present) == 2:
-            labels = tuple(present)
-        elif set(present) <= {0, 1}:  # constant labels still mean a {0,1} task
-            labels = (0, 1)
-        else:
-            raise ValueError(f"adaboost_fit needs binary labels, got {present}")
-    labels = tuple(labels)
+    labels = data.label_set
     if len(labels) != 2:
-        raise ValueError("labels must name exactly 2 classes")
-    n = len(data)
-    y = np.where(data.labels == labels[1], 1, -1)
-    # weak learners always see a clean {0, 1} relabeling of the task
-    data01 = LabeledDataset(data.measures, (y > 0).astype(int))
-    w = np.full(n, 1.0 / n)
-    rng = np.random.default_rng(seed)
+        if not set(labels) <= {0, 1}:
+            raise ValueError(f"adaboost_fit needs binary labels, got {labels}")
+        labels = [0, 1]  # constant labels still mean a {0,1} task
+    y01 = (data.labels == labels[1]).astype(int)
+    data01 = LabeledDataset(data.measures, y01)
+    w = np.full(len(data), 1.0 / len(data))
     stages = []
     for t in range(rounds):
-        if subsample < 1.0:
-            m = max(2, int(round(subsample * n)))
-            idx = rng.choice(n, size=m, replace=False)
-            sub = data01.subset(idx)
-            sub_w = w[idx]
-            sub_w = sub_w / sub_w.sum()
-            h, _ = learner(sub, sub_w, rng)
-        else:
-            h, _ = learner(data01, w, rng)
-        miss = h.predict(data.measures) != data01.labels
+        h, _ = learner(data01, w)
+        miss = h.predict(data.measures) != y01
         err = float(w[miss].sum())
         if err >= 0.5 and t > 0:
             break
@@ -152,7 +127,7 @@ def adaboost_fit(
             break
         w = w * np.exp(np.where(miss, alpha, -alpha))
         w = w / w.sum()
-    return Ensemble(tuple(stages), (labels[0], labels[1]))
+    return Ensemble(tuple(stages), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -177,23 +152,14 @@ class OneVsOneModel:
         return OneVsOneModel(models, tuple(obj["labels"]))
 
 
-def one_vs_one_fit(
-    data: LabeledDataset, rounds: int, learner: Callable, seed: int = 0, subsample: float = 1.0
-) -> OneVsOneModel:
+def one_vs_one_fit(data: LabeledDataset, rounds: int, learner: Callable) -> OneVsOneModel:
     labels = data.label_set
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
-    counts = {c: int(np.sum(data.labels == c)) for c in labels}
-    empty = [c for c, k in counts.items() if k == 0]
-    if empty:
-        raise ValueError(f"classes with no training examples: {empty}")
     models = {}
-    for pair_idx, (a, b) in enumerate(combinations(labels, 2)):
-        mask = np.isin(data.labels, (a, b))
-        sub = data.subset(np.nonzero(mask)[0])
-        models[(a, b)] = adaboost_fit(
-            sub, rounds, learner, seed=seed + 7919 * pair_idx, subsample=subsample
-        )
+    for a, b in combinations(labels, 2):
+        pair = data.subset(np.nonzero(np.isin(data.labels, (a, b)))[0])
+        models[(a, b)] = adaboost_fit(pair, rounds, learner)
     return OneVsOneModel(models, tuple(labels))
 
 

@@ -2,7 +2,7 @@
 prediction, evaluation, distances, and the bundled experiment recipes.
 
 Exit codes: 0 success, 2 argument errors (argparse), 3 config errors,
-4 input/output errors, 5 computation errors.
+4 input/output errors (missing JSONL fields too), 5 computation errors.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import numpy as np
 from . import datagen
 from .boosting import Ensemble, OneVsOneModel
 from .graphs import save_graph_json
-from .measures import LabeledDataset, load_dataset_jsonl, save_dataset_jsonl, Measure
+from .measures import LabeledDataset, load_dataset_jsonl, require_fields, save_dataset_jsonl, Measure
 from .metrics import evaluate
 from .ph import cech_filtration, persistence, rips_filtration
 from .ph.bottleneck import bottleneck
 from .ph.diagrams import load_diagrams_jsonl, save_diagrams_jsonl
-from .recipes import RECIPES, classifier_predict, diagrams_to_feature_measure, fit_classifier, run_experiment
+from .recipes import RECIPES, ConfigError, classifier_predict, diagrams_to_feature_measure, fit_classifier, run_experiment
 
 
 def _gen(args) -> int:
@@ -75,7 +75,8 @@ def _group_diagrams(path):
     """Diagrams JSONL with cloud/label meta -> (per-cloud diagram lists, labels)."""
     diagrams, metas = load_diagrams_jsonl(path)
     groups, labels = {}, {}
-    for dg, meta in zip(diagrams, metas):
+    for index, (dg, meta) in enumerate(zip(diagrams, metas), 1):
+        require_fields(meta, ("cloud",), path, index)
         i = int(meta["cloud"])
         groups.setdefault(i, []).append(dg)
         if "label" in meta:
@@ -125,7 +126,7 @@ def _eval(args) -> int:
         raise ValueError("evaluation diagrams must carry a label field")
     report = evaluate(np.array(labels), classifier_predict(model, meas))
     if args.out:
-        report.save(args.out, include_timings=False)
+        report.save(args.out)
     print(f"accuracy {report.accuracy:.4f}")
     return 0
 
@@ -241,10 +242,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, RuntimeError) as exc:

@@ -1,6 +1,7 @@
 """Empirical machinery for the limit theorems: rescaled rectangle counts of
-persistence diagrams, Monte-Carlo estimation of their limiting measure, the
-matching scale schedules, and Monte-Carlo empirical Rademacher complexity.
+persistence diagrams, Monte-Carlo estimation of their limiting measure from
+the one k-pair of each sampled k+2 points, the matching scale schedules,
+and Monte-Carlo empirical Rademacher complexity.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 
 from .measures import mass_matrix
 from .ph.complexes import cech_filtration
-from .ph.persistence import betti_oracle
 from .ph.diagrams import PersistenceDiagram
 
 __all__ = [
@@ -101,12 +101,15 @@ def mu_k_montecarlo(
 
     Samples k+1 offsets uniformly in the ball of radius (k+2)*v around the
     origin (outside it no k-feature of k+2 points at scale <= v can exist),
-    evaluates the inclusion-exclusion combination of the Betti indicators
-    at the four rectangle scales, and rescales by the ball volume, the
-    density moment and 1/(k+2)!.
+    scores each sample by whether its k-pair lies in the rectangle, and
+    rescales by the ball volume, the density moment and 1/(k+2)!.
 
-    For k = 0 the estimate is identically zero: the Betti-0 indicator is
-    monotone in the scale, so the combination cancels on every sample.  For
+    The Cech complex of k+2 points has one k-pair (b, d): b is the largest
+    k-simplex value and d the top simplex's.  Its Betti-k indicator is
+    1{b <= r < d}, so the inclusion-exclusion of the indicators at the four
+    rectangle scales is 1{s < b <= t} * 1{u < d <= v}.
+
+    For k = 0 the estimate is identically zero: b = 0 lies below s > 0.  For
     d = 1 and k >= 1 it is zero too: points on a line carry no k-cycle.
     k is at most 2, since a k-cycle dies by (k+1)-simplices and the Cech
     builder stops at dimension 3.
@@ -128,15 +131,10 @@ def mu_k_montecarlo(
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         y = g * (radius * rng.uniform(size=(k + 1, 1)) ** (1.0 / d))
         pts = np.vstack([np.zeros((1, d)), y])
-        # one complex per sample; each h is 1 iff its k-th Betti number at that scale is 1
         fc = cech_filtration(pts, max_dim=k + 1, max_value=float("inf"))
-        hs = {r: int(betti_oracle(fc, r, k) == 1) for r in (rect.s, rect.t, rect.u, rect.v)}
-        samples[i] = (
-            hs[rect.t] * hs[rect.u]
-            - hs[rect.t] * hs[rect.v]
-            - hs[rect.s] * hs[rect.u]
-            + hs[rect.s] * hs[rect.v]
-        )
+        birth = max(value for verts, value in fc.simplices if len(verts) == k + 1)
+        death = fc.simplices[-1][1]  # the top simplex sorts last
+        samples[i] = rect.s < birth <= rect.t and rect.u < death <= rect.v
     factor = _ball_volume(d, radius) ** (k + 1) * density_moment / math.factorial(k + 2)
     mean = float(samples.mean()) * factor
     stderr = float(samples.std(ddof=1) / math.sqrt(n_mc)) * factor

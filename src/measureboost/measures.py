@@ -25,6 +25,7 @@ __all__ = [
     "mbar_p",
     "load_dataset_jsonl",
     "save_dataset_jsonl",
+    "require_fields",
 ]
 
 
@@ -91,13 +92,6 @@ class LabeledDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        for m in self.measures:
-            if len(m) > 0:
-                return m.dim
-        raise ValueError("cannot infer dimension: all measures are empty")
 
     @property
     def label_set(self) -> list:
@@ -173,6 +167,13 @@ def mbar_p(data: LabeledDataset, p: float) -> float:
 # "weights" is optional and defaults to all ones.
 
 
+def require_fields(rec: dict, fields, path, index: int) -> None:
+    """Raise KeyError naming the file, the record and its first missing field."""
+    for key in fields:
+        if key not in rec:
+            raise KeyError(f"{path}: record {index} has no {key!r} field")
+
+
 def save_dataset_jsonl(data: LabeledDataset, path) -> None:
     with open(path, "w") as fh:
         for mu, y in zip(data.measures, data.labels):
@@ -190,6 +191,7 @@ def load_dataset_jsonl(path) -> LabeledDataset:
             if not line:
                 continue
             rec = json.loads(line)
+            require_fields(rec, ("points", "label"), path, len(measures) + 1)
             pts = np.asarray(rec["points"], dtype=float)
             if pts.size == 0:
                 pts = pts.reshape(0, 0)

@@ -1,11 +1,12 @@
-"""Classification metrics: accuracy, per-class precision/recall/F1 and the
-confusion matrix, packaged with timing info for experiment reports.
+"""Classification metrics: accuracy, per-class precision/recall/F1, the
+confusion matrix and staged training errors.  Reports hold no wall-clock
+values; the recipes write those to timings.json.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ class MetricsReport:
     recall: dict
     f1: dict
     staged_errors: tuple = ()
-    timings: dict = field(default_factory=dict)
 
     def __post_init__(self):
         c = np.asarray(self.confusion, dtype=int)
@@ -38,19 +38,14 @@ class MetricsReport:
             "recall": {str(k): v for k, v in self.recall.items()},
             "f1": {str(k): v for k, v in self.f1.items()},
             "staged_errors": list(self.staged_errors),
-            "timings": dict(self.timings),
         }
 
-    def save(self, path, include_timings: bool = True) -> None:
-        """Timings are wall-clock and can be excluded for bit-reproducible files."""
-        obj = self.to_json()
-        if not include_timings:
-            obj.pop("timings")
+    def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
+            json.dump(self.to_json(), fh, indent=2)
 
 
-def evaluate(y_true, y_pred, labels=None, staged_errors=(), timings=None) -> MetricsReport:
+def evaluate(y_true, y_pred, labels=None, staged_errors=()) -> MetricsReport:
     """Score predictions against truth.
 
     Per-class precision/recall are 0 when the denominator is empty; F1 is 0
@@ -85,5 +80,4 @@ def evaluate(y_true, y_pred, labels=None, staged_errors=(), timings=None) -> Met
         recall=recall,
         f1=f1,
         staged_errors=tuple(staged_errors),
-        timings=dict(timings or {}),
     )

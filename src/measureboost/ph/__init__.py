@@ -2,9 +2,7 @@ from .complexes import FilteredComplex, cech_filtration, rips_filtration, miniba
 from .persistence import persistence, betti_oracle
 from .diagrams import (
     PersistenceDiagram,
-    rotate_diagram,
     diagram_to_measure,
-    persistence_weight,
     save_diagrams_jsonl,
     load_diagrams_jsonl,
 )
@@ -18,9 +16,7 @@ __all__ = [
     "persistence",
     "betti_oracle",
     "PersistenceDiagram",
-    "rotate_diagram",
     "diagram_to_measure",
-    "persistence_weight",
     "save_diagrams_jsonl",
     "load_diagrams_jsonl",
     "bottleneck",

@@ -1,23 +1,20 @@
 """Persistence diagrams: the (birth, death) multiset of one homology
-dimension, plus conversions into the measure representation used by the
-classifiers."""
+dimension, and its measure form for the classifiers: the rotated pairs
+(b, d - b), one unit-weight point each."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..measures import Measure
+from ..measures import Measure, require_fields
 
 __all__ = [
     "PersistenceDiagram",
-    "rotate_diagram",
     "diagram_to_measure",
-    "persistence_weight",
     "save_diagrams_jsonl",
     "load_diagrams_jsonl",
 ]
@@ -49,51 +46,18 @@ class PersistenceDiagram:
         return int(np.sum((b <= r) & (r < d)))
 
 
-def rotate_diagram(diagram: PersistenceDiagram, truncation: float | None = None) -> Measure:
-    """Apply (b, d) -> (b, d - b) and package the result as a unit-weight measure.
+def diagram_to_measure(diagram: PersistenceDiagram, truncation: float | None = None) -> Measure:
+    """Unit-weight measure on the plane with one point (b, d - b) per pair.
 
     Infinite deaths are replaced by `truncation` before rotating; without a
     truncation value they are an error.
-    """
-    return diagram_to_measure(diagram, truncation=truncation, rotate=True)
-
-
-def persistence_weight(power: float = 1.0) -> Callable[[float, float], float]:
-    """Weight function (d - b)^power; power 0 gives constant weight 1."""
-
-    def w(b: float, d: float) -> float:
-        return (d - b) ** power
-
-    return w
-
-
-def diagram_to_measure(
-    diagram: PersistenceDiagram,
-    weight: Callable[[float, float], float] | None = None,
-    truncation: float | None = None,
-    rotate: bool = False,
-) -> Measure:
-    """Measure on the plane with one point per pair and weight w(b, d).
-
-    `weight=None` gives unit weights.  Truncation replaces infinite deaths
-    (required if any are present); the weight is evaluated on the truncated
-    pair.
     """
     pairs = np.array(diagram.pairs, dtype=float)
     if np.any(np.isinf(pairs[:, 1])):
         if truncation is None:
             raise ValueError("diagram has infinite deaths; pass a truncation value")
         pairs[np.isinf(pairs[:, 1]), 1] = truncation
-    if len(pairs) == 0:
-        return Measure(np.empty((0, 2)))
-    weights = (
-        None
-        if weight is None
-        else np.array([weight(b, d) for b, d in pairs], dtype=float)
-    )
-    if rotate:
-        pairs = np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]])
-    return Measure(pairs, weights)
+    return Measure(np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]]))
 
 
 # --- JSON Lines diagram format -------------------------------------------
@@ -122,6 +86,7 @@ def load_diagrams_jsonl(path):
             if not line:
                 continue
             rec = json.loads(line)
+            require_fields(rec, ("dim", "pairs"), path, len(diagrams) + 1)
             pairs = [
                 [b, math.inf if d == "inf" else d] for b, d in rec["pairs"]
             ]

@@ -34,14 +34,18 @@ from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
-from .regions import AxisRect, Ball
+from .regions import Ball
 from .weak import GridSpec, exhaustive_search, kmeans_centers
 
-__all__ = ["RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
+__all__ = ["ConfigError", "RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
 
 # ---------------------------------------------------------------------------
 # run configuration
+
+
+class ConfigError(KeyError):
+    """Unknown recipe, section or key, or a value unlike its default's type."""
 
 
 class RunConfig:
@@ -60,12 +64,14 @@ class RunConfig:
             cp.read_file(fh)
         for sec in cp.sections():
             if sec not in self.sections:
-                raise KeyError(f"unknown config section [{sec}]")
+                raise ConfigError(f"unknown config section [{sec}]")
             for key, raw in cp.items(sec):
                 if key not in self.sections[sec]:
-                    raise KeyError(f"unknown config key [{sec}] {key}")
-                default = self.sections[sec][key]
-                self.sections[sec][key] = _parse_like(raw, default)
+                    raise ConfigError(f"unknown config key [{sec}] {key}")
+                try:
+                    self.sections[sec][key] = _parse_like(raw, self.sections[sec][key])
+                except (KeyError, ValueError):
+                    raise ConfigError(f"bad value for [{sec}] {key}: {raw!r}") from None
         return self
 
     def __getitem__(self, section):
@@ -75,7 +81,7 @@ class RunConfig:
 def _parse_like(raw: str, default):
     """Parse a raw string with the type of the default value."""
     if isinstance(default, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -131,7 +137,7 @@ def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=
     for dg in dgms:
         if dg.dim not in dims:
             continue
-        m = diagram_to_measure(dg, truncation=truncation, rotate=True)
+        m = diagram_to_measure(dg, truncation)
         if len(m) == 0:
             continue
         pts = m.points * scale
@@ -157,12 +163,12 @@ def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) ->
 
 def make_cached_learner(grid: GridSpec, train: LabeledDataset):
     """Exhaustive-search learner over train's one mass matrix on the grid: a
-    dataset of train's own Measure objects (a one-vs-one pair, a subsample)
-    gets its columns; any other measure raises ValueError."""
+    dataset of train's own Measure objects (a one-vs-one pair) gets its
+    columns; any other measure raises ValueError."""
     masses = mass_matrix(train.measures, grid.regions)
     index = {id(mu): i for i, mu in enumerate(train.measures)}  # valid while train lives
 
-    def learner(data, w, rng):
+    def learner(data, w):
         cols = [index.get(id(mu), -1) for mu in data.measures]
         if any(i < 0 or train.measures[i] is not mu for i, mu in zip(cols, data.measures)):
             raise ValueError("the learner got a measure that is not in its training set")
@@ -177,8 +183,8 @@ def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, s
     grid = build_ball_grid(train, n_centers, radius_quantiles, seed + 7)
     learner = make_cached_learner(grid, train)
     if len(train.label_set) > 2:
-        return one_vs_one_fit(train, rounds, learner, seed=seed + 11)
-    return adaboost_fit(train, rounds, learner, seed=seed + 11)
+        return one_vs_one_fit(train, rounds, learner)
+    return adaboost_fit(train, rounds, learner)
 
 
 def classifier_predict(model, measures) -> np.ndarray:
@@ -196,10 +202,8 @@ def emit_rectangle_trace(ensemble, path) -> None:
             A = h.region
             if isinstance(A, Ball):
                 row = [i, repr(alpha), h.sign, "ball", json.dumps(A.center.tolist()), repr(A.radius), "", "", repr(h.threshold)]
-            elif isinstance(A, AxisRect):
-                row = [i, repr(alpha), h.sign, "rect", "", "", json.dumps(A.mins.tolist()), json.dumps(A.maxs.tolist()), repr(h.threshold)]
             else:
-                row = [i, repr(alpha), h.sign, type(A).__name__, "", "", "", "", repr(h.threshold)]
+                row = [i, repr(alpha), h.sign, "rect", "", "", json.dumps(A.mins.tolist()), json.dumps(A.maxs.tolist()), repr(h.threshold)]
             wr.writerow(row)
 
 
@@ -270,13 +274,11 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
         preds,
         labels=tuple(range(n_classes)),
         staged_errors=staged_training_error(model, train) if binary else (),
-        timings=timings,
     )
     with open(f"{outdir}/model.json", "w") as fh:
         json.dump(model.to_json(), fh, indent=2)
     emit_rectangle_trace(model if binary else model.models[min(model.models)], f"{outdir}/rectangles.csv")
     obj = report.to_json()
-    obj.pop("timings")
     if binary:
         obj["weak_accuracy"] = weak_acc
     with open(f"{outdir}/metrics.json", "w") as fh:
@@ -596,13 +598,13 @@ RECIPES = {
 def run_experiment(name, config_path=None, overrides=None, workers=1):
     """Look up a recipe, apply config-file and in-memory overrides, run it."""
     if name not in RECIPES:
-        raise KeyError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
+        raise ConfigError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
     defaults_fn, runner = RECIPES[name]
     cfg = RunConfig(defaults_fn())
     if config_path is not None:
         cfg.override_from_file(config_path)
     for (sec, key), val in (overrides or {}).items():
         if sec not in cfg.sections or key not in cfg.sections[sec]:
-            raise KeyError(f"unknown config key [{sec}] {key}")
+            raise ConfigError(f"unknown config key [{sec}] {key}")
         cfg.sections[sec][key] = val
     return runner(cfg, workers=workers)

@@ -9,13 +9,12 @@ Ties at exactly the threshold therefore predict label 0, deterministically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import LabeledDataset, mass_matrix
-from .regions import AxisRect, Ball, region_from_json, region_to_json
+from .regions import Ball, region_from_json, region_to_json
 
 __all__ = [
     "WeakClassifier",
@@ -27,6 +26,8 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-9
+_KMEANS_ITERS = 100
+_KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,6 @@ class GridSpec:
     @staticmethod
     def balls(centers, radii, thresholds=None) -> "GridSpec":
         regions = [Ball(np.asarray(c), float(r)) for c in centers for r in radii]
-        return GridSpec(tuple(regions), thresholds)
-
-    @staticmethod
-    def rects_from_axes(axis_grids, thresholds=None, half_open=True) -> "GridSpec":
-        """All boxes with per-axis corners drawn from the given grids.
-
-        axis_grids: one increasing value list per axis.  With half_open,
-        +inf upper corners are added so truncated quadrants are available.
-        """
-        per_axis = []
-        for grid in axis_grids:
-            grid = list(grid)
-            his = grid[1:] + ([np.inf] if half_open else [])
-            per_axis.append([(lo, hi) for lo in grid for hi in his if hi > lo])
-        boxes = itertools.product(*per_axis)  # one (lo, hi) pair per axis
-        regions = [AxisRect(*np.array(box, dtype=float).reshape(-1, 2).T) for box in boxes]
         return GridSpec(tuple(regions), thresholds)
 
 
@@ -165,7 +150,7 @@ def exhaustive_search(
     return best[1], best[0][0]
 
 
-def kmeans_centers(points: np.ndarray, k: int, seed: int = 0, iters: int = 100, tol: float = 1e-6):
+def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding; deterministic given seed."""
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
@@ -186,7 +171,7 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0, iters: int = 100, 
             continue
         centers.append(points[rng.choice(len(points), p=d2 / total)])
     centers = np.array(centers)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
         assign = np.argmin(d2, axis=1)
         new = centers.copy()
@@ -196,6 +181,6 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0, iters: int = 100, 
                 new[c] = points[mask].mean(axis=0)
         shift = float(np.max(np.linalg.norm(new - centers, axis=1)))
         centers = new
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     return centers

@@ -21,7 +21,7 @@ def unit(points):
 
 
 def grid_learner(grid):
-    def learner(data, w, rng):
+    def learner(data, w):
         return exhaustive_search(data, grid, w)
 
     return learner
@@ -93,7 +93,7 @@ def test_boosting_beats_single_weak_on_xor():
     radii = [1.0]
     grid = GridSpec.balls(centers, radii)
     learner = grid_learner(grid)
-    h, single_err = learner(data, np.full(len(data), 1 / len(data)), None)
+    h, single_err = learner(data, np.full(len(data), 1 / len(data)))
     ens = adaboost_fit(data, rounds=10, learner=learner)
     boosted_err = staged_training_error(ens, data)[-1]
     assert boosted_err <= single_err + 1e-12
@@ -132,15 +132,6 @@ def test_ensemble_json_roundtrip():
     assert back.labels == ens.labels
     assert len(back.stages) == len(ens.stages)
     np.testing.assert_array_equal(ensemble_predict(back, data.measures), ensemble_predict(ens, data.measures))
-
-
-def test_subsample_reweights_on_full_data():
-    data = xor_like_data(4)
-    grid = GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0])
-    ens = adaboost_fit(data, rounds=6, learner=grid_learner(grid), seed=1, subsample=0.5)
-    assert len(ens.stages) >= 1
-    errs = staged_training_error(ens, data)
-    assert all(0 <= e <= 1 for e in errs)
 
 
 def three_class_data():
@@ -226,9 +217,9 @@ def test_one_vs_one_needs_two_classes():
         one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
 
 
-def test_deterministic_given_seed():
+def test_fit_is_deterministic():
     data = xor_like_data(9)
     grid = GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])
-    e1 = adaboost_fit(data, rounds=5, learner=grid_learner(grid), seed=3, subsample=0.7)
-    e2 = adaboost_fit(data, rounds=5, learner=grid_learner(grid), seed=3, subsample=0.7)
+    e1 = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
+    e2 = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
     assert e1.to_json() == e2.to_json()

@@ -119,6 +119,57 @@ def test_bad_recipe_config_is_config_error(tmp_path):
                 "--outdir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "recipe, text, key, raw",
+    [
+        ("rademacher-scaling", "[data]\nn_draws = lots\n", "[data] n_draws", "lots"),
+        # small sizes, so that a run that reads the value as False ends quickly
+        ("torus-vs-sphere", "[data]\nn_train = 2\nn_test = 2\nn_points = 20\nrandomized_size = maybe\n",
+         "[data] randomized_size", "maybe"),
+    ],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, recipe, text, key, raw):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run(["recipe", recipe, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert key in err and raw in err
+    assert not (tmp_path / "out").exists()
+
+
+def _drop_field(path, field):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[-1].pop(field)
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _orbit_diagrams(tmp_path):
+    data = tmp_path / "d.jsonl"
+    run(["gen", "--generator", "orbit", "--out", str(data), "--count", "2", "--n-points", "20"])
+    dgms = tmp_path / "dg.jsonl"
+    run(["ph", "--input", str(data), "--output", str(dgms), "--max-dim", "1", "--max-value", "0.5"])
+    return data, dgms
+
+
+@pytest.mark.parametrize(
+    "reader, field",
+    [("dataset", "label"), ("dataset", "points"), ("diagrams", "pairs"), ("diagrams", "dim"), ("groups", "cloud")],
+)
+def test_record_without_required_field_is_input_error(tmp_path, capsys, reader, field):
+    data, dgms = _orbit_diagrams(tmp_path)
+    capsys.readouterr()
+    if reader == "dataset":  # load_dataset_jsonl
+        bad, argv = data, ["ph", "--input", str(data), "--output", str(tmp_path / "out.jsonl")]
+    elif reader == "diagrams":  # load_diagrams_jsonl
+        bad, argv = dgms, ["bottleneck", str(dgms), str(dgms)]
+    else:  # _group_diagrams, under train, predict and eval
+        bad, argv = dgms, ["train", "--input", str(dgms), "--out", str(tmp_path / "model.json")]
+    _drop_field(bad, field)
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(field) in err
+
+
 def test_bad_model_json_is_io_error(tmp_path):
     model = tmp_path / "model.json"
     model.write_text("{not json")

@@ -5,6 +5,7 @@ import pytest
 
 from measureboost.limits import (
     Rectangle,
+    _ball_volume,
     feature_matrix,
     mu_k_montecarlo,
     r_n_schedule,
@@ -12,6 +13,7 @@ from measureboost.limits import (
     xi_count,
 )
 from measureboost.measures import Measure
+from measureboost.ph import betti_oracle, cech_filtration
 from measureboost.ph.diagrams import PersistenceDiagram
 from measureboost.regions import Ball
 
@@ -107,13 +109,43 @@ def test_xi_count_checks_dimension():
 
 
 def test_mu0_is_identically_zero():
-    # for k = 0 the Betti-0 indicator is monotone in the scale, so the
-    # inclusion-exclusion combination cancels exactly
+    # for k = 0 the one pair of two points is born at 0, below s > 0
     rect = Rectangle(0.1, 0.3, 0.5, 0.9)
     for seed in range(3):
         est, err = mu_k_montecarlo(1.0, k=0, d=2, rect=rect, n_mc=400, seed=seed)
         assert est == 0.0
         assert err == 0.0
+
+
+def _mu_k_by_betti_oracle(density_moment, k, d, rect, n_mc, seed):
+    # the same draws as mu_k_montecarlo, each sample scored by the
+    # inclusion-exclusion of four brute-force Betti-k indicators
+    rng = np.random.default_rng(seed)
+    radius = (k + 2) * rect.v
+    samples = np.empty(n_mc)
+    for i in range(n_mc):
+        g = rng.standard_normal((k + 1, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        y = g * (radius * rng.uniform(size=(k + 1, 1)) ** (1.0 / d))
+        fc = cech_filtration(np.vstack([np.zeros((1, d)), y]), max_dim=k + 1, max_value=float("inf"))
+        hs = {r: int(betti_oracle(fc, r, k) == 1) for r in (rect.s, rect.t, rect.u, rect.v)}
+        samples[i] = hs[rect.t] * hs[rect.u] - hs[rect.t] * hs[rect.v] - hs[rect.s] * hs[rect.u] + hs[rect.s] * hs[rect.v]
+    factor = _ball_volume(d, radius) ** (k + 1) * density_moment / math.factorial(k + 2)
+    return float(samples.mean()) * factor, float(samples.std(ddof=1) / math.sqrt(n_mc)) * factor
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_mu_k_equals_the_betti_oracle_estimate(k, d):
+    # the criterion-8 degree-1 rectangles; in degree 1 at least one of them
+    # sees a sample inside, so the comparison is not between zeros only
+    estimates = []
+    for seed, vals in enumerate([(0.05, 0.7, 0.7, 0.85), (0.05, 0.8, 0.8, 1.0), (0.3, 0.7, 0.7, 1.0)]):
+        rect = Rectangle(*vals)
+        expected = _mu_k_by_betti_oracle(1.0, k, d, rect, 300, seed)
+        assert mu_k_montecarlo(1.0, k, d, rect, 300, seed) == expected
+        estimates.append(expected[0])
+    assert (max(estimates) > 0) == (k == 1)
 
 
 def test_mu1_nonzero_and_seed_consistent():

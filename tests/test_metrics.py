@@ -63,15 +63,11 @@ def test_report_shape_mismatch_rejected():
         MetricsReport((0, 1), 1.0, np.zeros((3, 3)), {}, {}, {})
 
 
-def test_save_with_and_without_timings(tmp_path):
-    r = evaluate([0, 1], [0, 1], staged_errors=(0.4, 0.1), timings={"fit": 1.23})
-    with_t = tmp_path / "a.json"
-    without_t = tmp_path / "b.json"
-    r.save(with_t)
-    r.save(without_t, include_timings=False)
-    a = json.loads(with_t.read_text())
-    b = json.loads(without_t.read_text())
-    assert a["timings"] == {"fit": 1.23}
+def test_save(tmp_path):
+    r = evaluate([0, 1], [0, 1], staged_errors=(0.4, 0.1))
+    path = tmp_path / "a.json"
+    r.save(path)
+    b = json.loads(path.read_text())
     assert "timings" not in b
     assert b["staged_errors"] == [0.4, 0.1]
     assert b["accuracy"] == 1.0

@@ -12,8 +12,6 @@ from measureboost.ph.diagrams import (
     PersistenceDiagram,
     diagram_to_measure,
     load_diagrams_jsonl,
-    persistence_weight,
-    rotate_diagram,
     save_diagrams_jsonl,
 )
 from measureboost.ph.persistence import betti_oracle
@@ -163,6 +161,25 @@ def test_diagram_counts_match_betti_oracle(seed):
             assert dg.persistent_betti(r) == betti_oracle(fc, r, dg.dim)
 
 
+@given(
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_k_plus_2_points_have_one_k_pair(k, d, data):
+    # the one k-pair that mu_k_montecarlo reads: born with the last
+    # k-simplex, killed by the top simplex, which sorts last
+    coord = st.one_of(st.floats(-1, 1), st.integers(-2, 2).map(lambda i: i / 2))
+    pts = np.array(data.draw(st.lists(coord, min_size=(k + 2) * d, max_size=(k + 2) * d))).reshape(k + 2, d)
+    fc = cech_filtration(pts, max_dim=k + 1, max_value=np.inf)
+    birth = max(v for verts, v in fc.simplices if len(verts) == k + 1)
+    top, death = fc.simplices[-1]
+    assert len(top) == k + 2
+    for _, r in fc.simplices:
+        assert (betti_oracle(fc, r, k) == 1) == (birth <= r < death)
+
+
 def test_include_zero_length_flag():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     fc = cech_filtration(pts, max_dim=2, max_value=np.inf)
@@ -197,9 +214,9 @@ def test_stability_smoke():
     assert bottleneck(d1, d1n) < 5e-3
 
 
-def test_rotate_diagram_and_measure():
+def test_diagram_to_measure_rotates():
     dg = PersistenceDiagram(1, np.array([[0.2, 0.9], [0.1, np.inf]]))
-    m = rotate_diagram(dg, truncation=2.0)
+    m = diagram_to_measure(dg, truncation=2.0)
     assert isinstance(m, Measure)
     got = sorted(map(tuple, m.points.tolist()))
     assert got == [(0.1, pytest.approx(1.9)), (0.2, pytest.approx(0.7))]
@@ -209,12 +226,6 @@ def test_diagram_to_measure_requires_truncation_for_inf():
     dg = PersistenceDiagram(0, np.array([[0.0, np.inf]]))
     with pytest.raises(ValueError):
         diagram_to_measure(dg)
-
-
-def test_persistence_weighting():
-    dg = PersistenceDiagram(1, np.array([[0.0, 2.0], [1.0, 1.5]]))
-    m = diagram_to_measure(dg, weight=persistence_weight(2.0))
-    np.testing.assert_allclose(sorted(m.weights), [0.25, 4.0])
 
 
 def test_diagrams_jsonl_roundtrip(tmp_path):

@@ -143,9 +143,3 @@ def test_weak_json_roundtrip(seed):
         h.threshold,
         h.sign,
     )
-
-
-def test_grid_rects_include_truncated_quadrants():
-    grid = GridSpec.rects_from_axes([[0.0, 1.0], [0.0, 1.0]])
-    assert any(np.isinf(r.maxs).any() for r in grid.regions)
-    assert all(np.all(r.mins <= r.maxs) for r in grid.regions)
