@@ -2,7 +2,7 @@
 prediction, evaluation, distances, and the bundled experiment recipes.
 
 Exit codes: 0 success, 2 argument errors (argparse), 3 config errors,
-4 input/output errors (missing JSONL fields too), 5 computation errors.
+4 input/output errors (malformed JSONL records too), 5 computation errors.
 """
 
 from __future__ import annotations
@@ -71,30 +71,32 @@ def _ph(args) -> int:
     return 0
 
 
-def _group_diagrams(path):
-    """Diagrams JSONL with cloud/label meta -> (per-cloud diagram lists, labels)."""
+_LABELED = {"cloud": int, "label": int}  # the meta fields of training and evaluation diagrams
+
+
+def _group_diagrams(path, fields):
+    """Diagrams JSONL with cloud (and label) meta -> (per-cloud diagram lists, labels).
+
+    `fields` are the meta keys every record must carry, with their converters.
+    """
     diagrams, metas = load_diagrams_jsonl(path)
     groups, labels = {}, {}
     for index, (dg, meta) in enumerate(zip(diagrams, metas), 1):
-        require_fields(meta, ("cloud",), path, index)
-        i = int(meta["cloud"])
-        groups.setdefault(i, []).append(dg)
-        if "label" in meta:
-            labels[i] = int(meta["label"])
+        require_fields(meta, fields, path, index)
+        groups.setdefault(meta["cloud"], []).append(dg)
+        labels[meta["cloud"]] = meta.get("label")
     order = sorted(groups)
-    return [groups[i] for i in order], [labels.get(i) for i in order]
+    return [groups[i] for i in order], [labels[i] for i in order]
 
 
-def _features(path, dims, truncation):
-    per_cloud, labels = _group_diagrams(path)
+def _features(path, dims, truncation, fields=_LABELED):
+    per_cloud, labels = _group_diagrams(path, fields)
     meas = [diagrams_to_feature_measure(d, tuple(dims), truncation) for d in per_cloud]
     return meas, labels
 
 
 def _train(args) -> int:
     meas, labels = _features(args.input, args.dims, args.truncation)
-    if any(y is None for y in labels):
-        raise ValueError("training diagrams must carry a label field")
     data = LabeledDataset(tuple(meas), np.array(labels))
     model = fit_classifier(data, args.n_centers, args.radius_quantiles, args.rounds, args.seed)
     kind = "one-vs-one" if isinstance(model, OneVsOneModel) else "binary"
@@ -111,7 +113,7 @@ def _load_model(path):
 
 def _predict(args) -> int:
     model = _load_model(args.model)
-    meas, _ = _features(args.input, args.dims, args.truncation)
+    meas, _ = _features(args.input, args.dims, args.truncation, {"cloud": int})
     preds = classifier_predict(model, meas)
     with open(args.out, "w") as fh:
         for i, y in enumerate(preds):
@@ -122,8 +124,6 @@ def _predict(args) -> int:
 def _eval(args) -> int:
     model = _load_model(args.model)
     meas, labels = _features(args.input, args.dims, args.truncation)
-    if any(y is None for y in labels):
-        raise ValueError("evaluation diagrams must carry a label field")
     report = evaluate(np.array(labels), classifier_predict(model, meas))
     if args.out:
         report.save(args.out)

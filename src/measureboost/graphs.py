@@ -3,7 +3,9 @@ sublevel filtrations of a vertex function.
 
 The heat-kernel signature needs the full spectrum of the symmetric
 normalized Laplacian; it comes from `numpy.linalg.eigh` and is checked
-against the closed forms of cycle and complete graphs in the tests.
+against the closed forms of cycle and complete graphs in the tests.  The
+sublevel diagrams come from `persistence`, like every other diagram of the
+package: the graph is a lower-star filtered complex of vertices and edges.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ph.diagrams import PersistenceDiagram
+from .ph.complexes import FilteredComplex, _sort_key
+from .ph.persistence import persistence
 
 __all__ = [
     "Graph",
@@ -74,47 +77,19 @@ def graph_hks(g: Graph, t: float = 10.0) -> np.ndarray:
 def graph_sublevel_diagrams(g: Graph, values) -> tuple:
     """(D0, D1) of the lower-star filtration of a vertex function.
 
-    A vertex enters at its value and an edge at the max of its endpoints.
-    D0 follows the elder rule via union-find; the global minimum is the
-    essential component.  Each independent cycle contributes (edge value,
-    +inf) to D1 since a graph has no 2-cells.
+    A vertex enters at its value and an edge at the max of its endpoints;
+    `persistence` reduces the graph as a complex with no triangles, so every
+    cycle is essential in D1.  Zero-length pairs are kept: a vertex that
+    enters with its first edge still gives its (b, b) pair in D0.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (g.n,):
         raise ValueError("need one value per vertex")
-    parent = list(range(g.n))
-    birth = values.copy()
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edge_items = sorted(
-        ((max(values[u], values[v]), u, v) for u, v in g.edges), key=lambda e: e[0]
-    )
-    d0_pairs = []
-    d1_pairs = []
-    for val, u, v in edge_items:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            d1_pairs.append((val, np.inf))
-            continue
-        # elder rule: the younger component (larger birth) dies
-        if birth[ru] > birth[rv] or (birth[ru] == birth[rv] and ru > rv):
-            ru, rv = rv, ru
-        d0_pairs.append((float(birth[rv]), float(val)))
-        parent[rv] = ru
-    # one essential class per remaining component
-    for root in {find(x) for x in range(g.n)}:
-        d0_pairs.append((float(birth[root]), np.inf))
-    d0_pairs.sort()
-    d1_pairs.sort()
-    return (
-        PersistenceDiagram(0, np.array(d0_pairs, dtype=float).reshape(-1, 2)),
-        PersistenceDiagram(1, np.array(d1_pairs, dtype=float).reshape(-1, 2)),
-    )
+    simplices = [((v,), float(values[v])) for v in range(g.n)]
+    simplices += [((u, v), float(max(values[u], values[v]))) for u, v in g.edges]
+    simplices.sort(key=_sort_key)
+    fc = FilteredComplex(tuple(simplices), max_dim=2, n_points=g.n)  # D0 and D1; no triangles
+    return tuple(persistence(fc, include_zero_length=True))
 
 
 def save_graph_json(g: Graph, path) -> None:

@@ -26,6 +26,7 @@ __all__ = [
     "load_dataset_jsonl",
     "save_dataset_jsonl",
     "require_fields",
+    "read_jsonl",
 ]
 
 
@@ -167,11 +168,32 @@ def mbar_p(data: LabeledDataset, p: float) -> float:
 # "weights" is optional and defaults to all ones.
 
 
-def require_fields(rec: dict, fields, path, index: int) -> None:
-    """Raise KeyError naming the file, the record and its first missing field."""
-    for key in fields:
+def require_fields(rec, fields, path, index: int) -> dict:
+    """Check one record: `fields` maps each required key to a converter, and
+    the converted value replaces the raw one.  A record that is not an
+    object, a missing key or a value its converter rejects raises KeyError
+    naming the file, the record and the field."""
+    if not isinstance(rec, dict):
+        raise KeyError(f"{path}: record {index} is not a JSON object")
+    for key, convert in fields.items():
         if key not in rec:
             raise KeyError(f"{path}: record {index} has no {key!r} field")
+        try:
+            rec[key] = convert(rec[key])
+        except (TypeError, ValueError) as exc:
+            raise KeyError(f"{path}: record {index} has a malformed {key!r} field ({exc})") from None
+    return rec
+
+
+def read_jsonl(path, fields) -> list:
+    """The records of a JSON Lines file, blank lines skipped, each checked
+    and converted by `require_fields`."""
+    records = []
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                records.append(require_fields(json.loads(line), fields, path, len(records) + 1))
+    return records
 
 
 def save_dataset_jsonl(data: LabeledDataset, path) -> None:
@@ -184,17 +206,6 @@ def save_dataset_jsonl(data: LabeledDataset, path) -> None:
 
 
 def load_dataset_jsonl(path) -> LabeledDataset:
-    measures, labels = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            require_fields(rec, ("points", "label"), path, len(measures) + 1)
-            pts = np.asarray(rec["points"], dtype=float)
-            if pts.size == 0:
-                pts = pts.reshape(0, 0)
-            measures.append(Measure(pts, rec.get("weights")))
-            labels.append(int(rec["label"]))
-    return LabeledDataset(tuple(measures), np.array(labels, dtype=int))
+    records = read_jsonl(path, {"points": _as_points, "label": int})
+    measures = tuple(Measure(rec["points"], rec.get("weights")) for rec in records)
+    return LabeledDataset(measures, np.array([rec["label"] for rec in records], dtype=int))

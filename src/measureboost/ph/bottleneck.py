@@ -1,10 +1,13 @@
 """Bottleneck distance between persistence diagrams.
 
 Exact computation: binary search over the finite set of candidate distances
-(point-to-point l-infinity distances and point-to-diagonal distances), with
-feasibility decided by maximum bipartite matching.  Points with infinite
-death must pair with infinite-death points of the other diagram; the
-distance is +inf when that is impossible.
+(point-to-point l-infinity distances and point-to-diagonal distances).  A
+candidate is feasible iff the point-to-point graph within it has a matching
+that covers every point farther than it from the diagonal; the diagonal
+never enters the graph, and breadth-first augmenting paths find the
+matching without recursion.  Points with infinite death must pair with
+infinite-death points of the other diagram; the distance is +inf when that
+is impossible.
 """
 
 from __future__ import annotations
@@ -32,50 +35,53 @@ def _linf(pairs_a, pairs_b):
     return np.max(np.abs(pairs_a[:, None, :] - pairs_b[None, :, :]), axis=-1)
 
 
-def _feasible(cost_ab, diag_a, diag_b, delta):
+def _match_all(adj, rows) -> bool:
+    """Is there a matching of the bipartite graph `adj` (rows x columns)
+    that covers every row in `rows`?
+
+    Kuhn's augmenting paths, grown breadth-first one layer of columns at a
+    time; `came_from[c]` is the row whose edge first reached column c, so a
+    path is flipped by walking back from its free end.  A row with no
+    augmenting path ends the search: no matching covers it and the rows
+    before it.
+    """
+    match_col = np.full(adj.shape[1], -1)  # row matched to each column
+    match_row = np.full(adj.shape[0], -1)  # column matched to each row
+    for row in rows:
+        came_from = np.full(adj.shape[1], -1)
+        frontier = np.array([row])
+        while True:
+            reach = adj[frontier]
+            cols = np.flatnonzero(reach.any(axis=0) & (came_from < 0))
+            if len(cols) == 0:
+                return False
+            came_from[cols] = frontier[reach[:, cols].argmax(axis=0)]
+            free = cols[match_col[cols] < 0]
+            if len(free):
+                break
+            frontier = match_col[cols]
+        col = free[0]
+        while col >= 0:  # flip the path; it ends at `row`, matched to -1
+            r = came_from[col]
+            before = match_row[r]
+            match_col[col], match_row[r] = r, col
+            col = before
+    return True
+
+
+def _feasible(cost, diag_a, diag_b, delta) -> bool:
     """Is there a diagram matching with every displacement <= delta?
 
-    Standard square construction: left side = A-points then |B| diagonal
-    slots, right side = B-points then |A| diagonal slots.  A point may use a
-    diagonal slot iff its diagonal distance is within delta; diagonal slots
-    match each other freely.  Feasible iff a perfect matching exists
-    (Kuhn's augmenting paths; adjacency built once per call).
+    A point within delta of the diagonal may go there; every other point
+    needs a partner within delta.  So delta is feasible iff one matching of
+    `cost <= delta` covers the far points of both diagrams, which holds iff
+    one matching covers the far A-points and another the far B-points
+    (Mendelsohn-Dulmage).
     """
-    n_a, n_b = len(diag_a), len(diag_b)
-    size = n_a + n_b
-    adjacency = []
-    for i in range(n_a):
-        nbrs = [j for j in range(n_b) if cost_ab[i][j] <= delta]
-        if diag_a[i] <= delta:
-            nbrs.extend(range(n_b, size))
-        adjacency.append(nbrs)
-    for u in range(n_b):  # diagonal slots on the left
-        nbrs = [j for j in range(n_b) if diag_b[j] <= delta]
-        nbrs.extend(range(n_b, size))
-        adjacency.append(nbrs)
-    match_right = [-1] * size
-
-    def augment(u, seen):
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * size + 100))
-    try:
-        for u in range(size):
-            if not augment(u, set()):
-                return False
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return True
+    adj = cost <= delta
+    return _match_all(adj, np.flatnonzero(diag_a > delta)) and _match_all(
+        adj.T, np.flatnonzero(diag_b > delta)
+    )
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -95,12 +101,11 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     candidates = np.unique(
         np.concatenate([cost.ravel(), diag1, diag2, [0.0]])
     )
-    cost_list = cost.tolist()
     lo, hi = 0, len(candidates) - 1
     # smallest candidate delta that admits a feasible matching
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(cost_list, diag1, diag2, candidates[mid]):
+        if _feasible(cost, diag1, diag2, candidates[mid]):
             hi = mid
         else:
             lo = mid + 1

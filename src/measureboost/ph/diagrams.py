@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..measures import Measure, require_fields
+from ..measures import Measure, read_jsonl
 
 __all__ = [
     "PersistenceDiagram",
@@ -77,21 +77,12 @@ def save_diagrams_jsonl(diagrams, path, metas=None) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _pairs(raw) -> np.ndarray:
+    return np.array([[b, math.inf if d == "inf" else d] for b, d in raw], dtype=float).reshape(-1, 2)
+
+
 def load_diagrams_jsonl(path):
     """Returns (diagrams, metas): metadata is every key besides dim/pairs."""
-    diagrams, metas = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            require_fields(rec, ("dim", "pairs"), path, len(diagrams) + 1)
-            pairs = [
-                [b, math.inf if d == "inf" else d] for b, d in rec["pairs"]
-            ]
-            diagrams.append(
-                PersistenceDiagram(rec["dim"], np.array(pairs, dtype=float).reshape(-1, 2))
-            )
-            metas.append({k: v for k, v in rec.items() if k not in ("dim", "pairs")})
+    metas = read_jsonl(path, {"dim": int, "pairs": _pairs})
+    diagrams = [PersistenceDiagram(meta.pop("dim"), meta.pop("pairs")) for meta in metas]
     return diagrams, metas

@@ -170,6 +170,54 @@ def test_record_without_required_field_is_input_error(tmp_path, capsys, reader, 
     assert str(bad) in err and repr(field) in err
 
 
+@pytest.mark.parametrize(
+    "command, line, field",
+    [
+        ("ph", "5", None),
+        ("ph", "null", None),
+        ("train", "5", None),
+        ("bottleneck", '{"dim": 1, "pairs": 3}', "pairs"),
+        ("ph", '{"points": [[0, "x"]], "label": 0}', "points"),
+        ("ph", '{"points": [[0, 1]], "label": "a"}', "label"),
+    ],
+    ids=["ph-int", "ph-null", "train-int", "bottleneck-pairs", "ph-points", "ph-label"],
+)
+def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n" + line + "\n")  # the blank line is not a record
+    argv = {
+        "ph": ["ph", "--input", str(bad), "--output", str(tmp_path / "out.jsonl")],
+        "train": ["train", "--input", str(bad), "--out", str(tmp_path / "model.json")],
+        "bottleneck": ["bottleneck", str(bad), str(bad)],
+    }[command]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and "record 1 " in err
+    if field is not None:
+        assert repr(field) in err
+
+
+def test_labels_are_required_to_train_and_evaluate_only(tmp_path, capsys):
+    _, dgms = _orbit_diagrams(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--input", str(dgms), "--out", str(model), "--rounds", "2",
+                "--n-centers", "3", "--dims", "0"]) == 0
+    rows = [json.loads(line) for line in dgms.read_text().splitlines()]
+    for r in rows:
+        r.pop("label")
+    dgms.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    for argv in (["train", "--input", str(dgms), "--out", str(tmp_path / "m2.json")],
+                 ["eval", "--model", str(model), "--input", str(dgms), "--dims", "0"]):
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert str(dgms) in err and "'label'" in err
+    preds = tmp_path / "preds.jsonl"
+    assert run(["predict", "--model", str(model), "--input", str(dgms), "--out", str(preds),
+                "--dims", "0"]) == 0
+    assert [json.loads(line)["cloud"] for line in preds.read_text().splitlines()] == [0, 1]
+
+
 def test_bad_model_json_is_io_error(tmp_path):
     model = tmp_path / "model.json"
     model.write_text("{not json")

@@ -100,7 +100,8 @@ def test_d1_size_is_cycle_rank():
     assert len(d1.pairs) == len(g.edges) - g.n + 1  # connected: |E| - |V| + 1
 
 
-def _component_count(g, vals, r):
+def _components(g, vals, r):
+    """Vertex sets of the components of the r-sublevel graph."""
     alive = [v for v in range(g.n) if vals[v] <= r]
     parent = {v: v for v in alive}
 
@@ -109,32 +110,53 @@ def _component_count(g, vals, r):
             x = parent[x]
         return x
 
-    n_edges = 0
     for u, v in g.edges:
         if max(vals[u], vals[v]) <= r:
-            n_edges += 1
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-    comps = len({find(v) for v in alive})
-    return comps, n_edges, len(alive)
+    comps = {}
+    for v in alive:
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_sublevel_betti_match_union_find_oracle(seed):
+@given(st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)  # about 40 of each kind
+def test_sublevel_betti_match_union_find_oracle(seed, tied):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = rng.uniform(size=len(possible)) < 0.35
     g = Graph(n, tuple(e for e, k in zip(possible, keep) if k))
-    vals = rng.uniform(size=n)
+    if tied:  # integer values 0..2: vertices and edges share filtration values
+        vals = rng.integers(0, 3, size=n).astype(float)
+        grid = np.linspace(-0.5, 2.5, 7)
+    else:
+        vals = rng.uniform(size=n)
+        grid = np.linspace(0.0, 1.1, 8)
     d0, d1 = graph_sublevel_diagrams(g, vals)
-    for r in np.linspace(0.0, 1.1, 8):
-        comps, n_edges, n_verts = _component_count(g, vals, r)
-        assert d0.persistent_betti(r) == comps
+    for r in grid:
+        comps = _components(g, vals, r)
+        n_verts = sum(len(c) for c in comps)
+        n_edges = sum(max(vals[u], vals[v]) <= r for u, v in g.edges)
+        assert d0.persistent_betti(r) == len(comps)
         if n_verts:
-            assert d1.persistent_betti(r) == n_edges - n_verts + comps
+            assert d1.persistent_betti(r) == n_edges - n_verts + len(comps)
+        # two-scale rank: the classes born by r still alive after s are the
+        # s-components holding a vertex of value <= r
+        for s_ in grid[grid >= r]:
+            alive = np.sum((d0.pairs[:, 0] <= r) & (d0.pairs[:, 1] > s_))
+            assert alive == sum(any(vals[v] <= r for v in c) for c in _components(g, vals, s_))
+
+
+def test_sublevel_pairs_of_a_tied_path():
+    # vertex 1 enters at 1 with both of its edges: the edge (0, 1) kills it at
+    # once, a kept zero-length pair; the edge (1, 2) then joins two classes born
+    # at 0, and the younger root, vertex 2, dies
+    d0, d1 = graph_sublevel_diagrams(path_graph(3), np.array([0.0, 1.0, 0.0]))
+    assert d0.pairs.tolist() == [[0.0, 1.0], [0.0, np.inf], [1.0, 1.0]]
+    assert d1.pairs.shape == (0, 2)
 
 
 # --- construction and serialization ------------------------------------------
