@@ -9,6 +9,7 @@ are capped by clamping the round error away from 0 and 1.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import LabeledDataset, mass_matrix
+from .regions import region_to_json
 from .weak import WeakClassifier
 
 __all__ = [
@@ -71,10 +73,19 @@ def _staged_scores(ensemble: Ensemble, masses: np.ndarray):
         yield scores
 
 
+def _stage_masses(measures, stages) -> np.ndarray:
+    """`mass_matrix` rows of the stages' regions, each distinct region computed
+    once (boosting rounds and one-vs-one pairs often pick the same region)."""
+    keys = [json.dumps(region_to_json(h.region)) for h, _ in stages]
+    distinct = dict(zip(keys, (h.region for h, _ in stages)))
+    row = {key: i for i, key in enumerate(distinct)}
+    return mass_matrix(measures, list(distinct.values()))[[row[key] for key in keys]]
+
+
 def _predict_all(ensembles, measures) -> list:
     """Each ensemble's labels per measure, from one `mass_matrix` over all their
     stage regions; an exact zero score resolves to the first label."""
-    masses = mass_matrix(measures, [h.region for ens in ensembles for h, _ in ens.stages])
+    masses = _stage_masses(measures, [stage for ens in ensembles for stage in ens.stages])
     splits = np.cumsum([len(ens.stages) for ens in ensembles])[:-1]
     finals = [list(_staged_scores(ens, rows))[-1] for ens, rows in zip(ensembles, np.split(masses, splits))]
     return [np.asarray(ens.labels)[(s > 0).astype(int)] for ens, s in zip(ensembles, finals)]
@@ -88,7 +99,7 @@ def ensemble_predict(ensemble: Ensemble, measures) -> np.ndarray:
 def staged_training_error(ensemble: Ensemble, data: LabeledDataset) -> list:
     """Training 0-1 error after each prefix of stages."""
     y01 = data.labels == ensemble.labels[1]
-    masses = mass_matrix(data.measures, [h.region for h, _ in ensemble.stages])
+    masses = _stage_masses(data.measures, ensemble.stages)
     return [float(np.mean((s > 0) != y01)) for s in _staged_scores(ensemble, masses)]
 
 

@@ -7,11 +7,18 @@ Conventions, fixed once for the whole package:
     vertices and edges.  Beware: much of the literature uses diameter.
 
 The edges are all pairs whose value is <= max_value.  One vectorized loop
-builds every higher dimension from the one below: each kept simplex is
-extended by every higher vertex adjacent to all of its vertices, and a
-candidate is kept iff all of its facets were kept and its value is
-<= max_value.  The candidates are counted against a budget before any
-candidate array is built.
+builds every higher dimension from the one below, and a candidate is kept
+iff all of its facets were kept and its value is <= max_value.  The
+candidates are counted against a budget before any candidate array is
+built.  Rips extends each kept simplex by every higher vertex adjacent to
+all of its vertices.  Cech, on 2-D and 3-D clouds of more than
+max(d, max_dim) + 1 points with max_dim >= 2, takes its edges and
+candidates from the faces of the Delaunay triangulation instead: the Cech
+and Delaunay-Cech filtrations have the same persistence (Bauer and
+Edelsbrunner, The Morse theory of Cech and Delaunay complexes, 2017), with
+far fewer simplices.  It falls back to every common neighbour when Qhull
+cannot be trusted with the cloud (see `_delaunay_cells`).  Smaller clouds
+keep every candidate, so the top simplex of k+2 points is always there.
 """
 
 from __future__ import annotations
@@ -64,20 +71,39 @@ def _sort_key(item):
     return (value, len(verts), verts)
 
 
-def _dedup_points(points: np.ndarray) -> np.ndarray:
-    """Jitter duplicate points deterministically so distances are nonzero."""
-    _, first = np.unique(points, axis=0, return_index=True)
-    if len(first) == len(points):
-        return points
+def _half_distances(points: np.ndarray) -> np.ndarray:
+    """Half the distance between every two points, summed one coordinate at a
+    time: no (n, n, d) difference array."""
+    edge_val = np.zeros((len(points), len(points)))
+    for x in points.T:
+        diff = x[:, None] - x
+        edge_val += np.square(diff, out=diff)
+    np.sqrt(edge_val, out=edge_val)
+    edge_val /= 2.0
+    return edge_val
+
+
+def _dedup_points(points: np.ndarray):
+    """The points, with every later copy of a repeated point jittered
+    deterministically so distances are nonzero, and their half distances.
+
+    Repeats are the zero off-diagonal distances whose rows are equal: a
+    squared difference below 1e-154 underflows to zero, so a zero distance
+    alone does not prove a repeat.
+    """
+    edge_val = _half_distances(points)
+    i, j = np.nonzero(edge_val == 0)
+    i, j = i[i < j], j[i < j]
+    later = np.unique(j[np.all(points[i] == points[j], axis=1)])
+    if not len(later):
+        return points, edge_val
     span = np.ptp(points, axis=0)
     diag = float(np.linalg.norm(span)) or 1.0
     rng = np.random.default_rng(_JITTER_SEED)
     jitter = rng.standard_normal(points.shape) * (1e-12 * diag)
-    keep = np.zeros(len(points), dtype=bool)
-    keep[first] = True
     out = points.copy()
-    out[~keep] += jitter[~keep]
-    return out
+    out[later] += jitter[later]
+    return out, _half_distances(out)
 
 
 def _circumradius3(p0, p1, p2):
@@ -158,46 +184,99 @@ def _codes(simplices, n):
     return code
 
 
-def _cofaces(points, faces, values, up, max_value, value_fn):
+def _cell_faces(cells, size, n):
+    """The distinct `size`-vertex faces of the cells (rows of increasing
+    vertex indices), as lexicographically sorted rows."""
+    columns = list(itertools.combinations(range(cells.shape[1]), size))
+    subsets = cells[:, columns].reshape(-1, size)
+    _, first = np.unique(_codes(subsets, n), return_index=True)
+    return subsets[first]
+
+
+def _delaunay_cells(points, edge_val):
+    """The Delaunay cells of the points as rows of increasing vertex indices,
+    or None when Qhull cannot be trusted with them.
+
+    Qhull decides the cells on the lifted coordinates |p|^2, whose rounding
+    error is about eps * diameter^2: two points closer than sqrt(eps) times
+    the diameter (a jittered duplicate among them) are below that
+    resolution.  It also fails on flat clouds and merges points closer than
+    its precision, which then drop out of the triangulation.
+    """
+    half = edge_val[np.triu_indices(len(points), 1)]
+    if half.min() < np.sqrt(np.finfo(float).eps) * half.max():
+        return None
+    from scipy.spatial import Delaunay, QhullError  # slow to import: only here
+
+    try:
+        tri = Delaunay(points)
+    except QhullError:
+        return None
+    if len(tri.coplanar):
+        return None
+    return np.sort(tri.simplices, axis=1)
+
+
+def _cofaces(points, faces, values, up, max_value, value_fn, cells):
     """Kept simplices one dimension above `faces`, with their values.
 
     faces holds the kept simplices of one dimension as lexicographically
     sorted rows of increasing vertex indices, values their filtration values;
-    up[u, v] is True iff u < v and the edge uv was kept.  Each face is
-    extended by every higher vertex adjacent to all of its vertices.  A
-    candidate is kept iff all of its facets were kept and its value, raised
-    to the facet maximum, is <= max_value.  The rows returned are again
-    sorted, so they can serve as `faces` one dimension up.
+    up[u, v] is True iff u < v and the edge uv was kept.  The candidates are
+    the faces of the Delaunay `cells` one vertex larger, or, when cells is
+    None, each face extended by every higher vertex adjacent to all of its
+    vertices.  A candidate is kept iff all of its facets were kept and its
+    value, raised to the facet maximum, is <= max_value.  The rows returned
+    are again sorted, so they can serve as `faces` one dimension up.
     """
     n, k = len(up), faces.shape[1]
-    starts = range(0, len(faces), _BLOCK)
+    codes = _codes(faces, n)
 
-    def candidates(start):
-        block = faces[start : start + _BLOCK]
-        mask = up[block[:, 0]]
-        for col in block.T[1:]:
-            mask &= up[col]
-        return block, mask
+    def lookup(facets):
+        """Row of each facet in faces, and whether it is there."""
+        code = _codes(facets, n)
+        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return at, codes[at] == code
 
-    count = sum(int(np.count_nonzero(candidates(start)[1])) for start in starts)
+    if cells is None:
+        starts = range(0, len(faces), _BLOCK)
+
+        def candidates(start):
+            block = faces[start : start + _BLOCK]
+            mask = up[block[:, 0]]
+            for col in block.T[1:]:
+                mask &= up[col]
+            return mask
+
+        count = sum(int(np.count_nonzero(candidates(start))) for start in starts)
+
+        def extensions():  # (face row, new vertex) of every candidate
+            for start in starts:
+                rows, vertex = np.nonzero(candidates(start))
+                yield rows + start, vertex
+
+    else:
+        cand = _cell_faces(cells, k + 1, n)
+        count = len(cand)
+
+        def extensions():
+            rows, found = lookup(cand[:, :k])
+            yield rows[found], cand[found, k]
+
     if count > _BUDGET:
         raise RuntimeError(
             f"{count} candidate {k}-simplices exceed the enumeration budget of "
             f"{_BUDGET}; lower max_value or the point count"
         )
-    codes = _codes(faces, n)
     # the facets through the new vertex; the one without it is the face
     through_new = list(itertools.combinations(range(k + 1), k))[1:]
     kept, kept_values = [], []
-    for start in starts:
-        block, mask = candidates(start)
-        rows, vertex = np.nonzero(mask)
-        cand = np.concatenate([block[rows], vertex[:, None]], axis=1)
-        vals, keep = values[rows + start], np.ones(len(cand), dtype=bool)
+    for rows, vertex in extensions():
+        cand = np.concatenate([faces[rows], vertex[:, None]], axis=1)
+        vals, keep = values[rows], np.ones(len(cand), dtype=bool)
         for columns in through_new:
-            facet = _codes(cand[:, columns], n)
-            at = np.minimum(np.searchsorted(codes, facet), len(codes) - 1)
-            keep &= codes[at] == facet
+            at, found = lookup(cand[:, columns])
+            keep &= found
             vals = np.maximum(vals, values[at])
         cand, vals = cand[keep], vals[keep]
         if value_fn is not None:
@@ -209,25 +288,30 @@ def _cofaces(points, faces, values, up, max_value, value_fn):
 
 
 def _build_filtration(points, max_dim, max_value, value_fn):
-    points = _dedup_points(_as_cloud(points))
-    n = len(points)
+    points = _as_cloud(points)
+    n, d = points.shape
     simplices = [((i,), 0.0) for i in range(n)]
     if n >= 2 and max_dim >= 1:
-        # summed one coordinate at a time: no (n, n, d) difference array
-        edge_val = np.zeros((n, n))
-        for x in points.T:
-            diff = x[:, None] - x
-            edge_val += np.square(diff, out=diff)
-        np.sqrt(edge_val, out=edge_val)
-        edge_val /= 2.0
+        points, edge_val = _dedup_points(points)
         order = np.arange(n)
         up = (edge_val <= max_value) & (order[:, None] < order)
+        cells, top = None, max_dim
+        # Cech and Delaunay-Cech filtrations have the same persistence; the
+        # (k+2)-point clouds of mu_k_montecarlo keep every candidate
+        if value_fn is not None and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
+            cells = _delaunay_cells(points, edge_val)
+        if cells is not None:
+            edges = _cell_faces(cells, 2, n)
+            delaunay = np.zeros_like(up)
+            delaunay[edges[:, 0], edges[:, 1]] = True
+            up &= delaunay
+            top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
         faces, values = np.argwhere(up), edge_val[up]
-        for dim in range(1, max_dim + 1):
+        for dim in range(1, top + 1):
             if dim > 1:
                 if not len(faces):
                     break
-                faces, values = _cofaces(points, faces, values, up, max_value, value_fn)
+                faces, values = _cofaces(points, faces, values, up, max_value, value_fn, cells)
             simplices.extend(zip(map(tuple, faces.tolist()), values.tolist()))
     simplices.sort(key=_sort_key)
     return FilteredComplex(tuple(simplices), max_dim=max_dim, n_points=n)

@@ -20,6 +20,13 @@ __all__ = [
 ]
 
 
+def _as_pairs(pairs) -> np.ndarray:
+    p = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    if np.any(p[:, 0] > p[:, 1]):
+        raise ValueError("birth must not exceed death")
+    return p
+
+
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of (birth, death) pairs for one homology dimension.
@@ -31,9 +38,7 @@ class PersistenceDiagram:
     pairs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
-        if np.any(p[:, 0] > p[:, 1]):
-            raise ValueError("birth must not exceed death")
+        p = _as_pairs(self.pairs)
         p.setflags(write=False)
         object.__setattr__(self, "pairs", p)
 
@@ -78,7 +83,7 @@ def save_diagrams_jsonl(diagrams, path, metas=None) -> None:
 
 
 def _pairs(raw) -> np.ndarray:
-    return np.array([[b, math.inf if d == "inf" else d] for b, d in raw], dtype=float).reshape(-1, 2)
+    return _as_pairs([[b, math.inf if d == "inf" else d] for b, d in raw])
 
 
 def load_diagrams_jsonl(path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from measureboost.boosting import (
     staged_training_error,
 )
 from measureboost.measures import LabeledDataset, Measure
-from measureboost.regions import Ball
+from measureboost.regions import Ball, region_to_json
 from measureboost.weak import GridSpec, WeakClassifier, exhaustive_search
 
 
@@ -187,7 +189,8 @@ def test_one_vs_one_predict_is_one_mass_matrix_pass(monkeypatch):
         monkeypatch.setattr(boosting, "mass_matrix", lambda m, r: calls.append(len(r)) or plain(m, r))
         preds = one_vs_one_predict(model, ms)
         monkeypatch.undo()
-        assert calls == [sum(len(e.stages) for e in model.models.values())]
+        regions = {json.dumps(region_to_json(h.region)) for e in model.models.values() for h, _ in e.stages}
+        assert calls == [len(regions)]  # one row per distinct stage region
         assert preds.tolist() == expected
     assert set(preds.tolist()) == {0}
 

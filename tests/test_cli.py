@@ -197,6 +197,29 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field)
         assert repr(field) in err
 
 
+@pytest.mark.parametrize(
+    "command, lines, index, field",
+    [
+        ("ph", ['{"points": [[0, 1]], "label": 0, "weights": "abc"}'], 1, "weights"),
+        ("ph", ['{"points": [[0, 1]], "label": 0, "weights": [-1]}'], 1, "weights"),
+        ("bottleneck", ['{"dim": 1, "pairs": [[1, 0]]}'], 1, "pairs"),
+        ("ph", ['{"points": [[0, 1]], "label": 0}', '{"points": [], "label": 0}',
+                '{"points": [[0, 1, 2]], "label": 0}'], 3, "points"),
+    ],
+    ids=["weights-string", "weights-negative", "birth-after-death", "mixed-dimensions"],
+)
+def test_malformed_field_names_file_record_and_field(tmp_path, capsys, command, lines, index, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in lines))
+    argv = {
+        "ph": ["ph", "--input", str(bad), "--output", str(tmp_path / "out.jsonl")],
+        "bottleneck": ["bottleneck", str(bad), str(bad)],
+    }[command]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"record {index} " in err and repr(field) in err
+
+
 def test_labels_are_required_to_train_and_evaluate_only(tmp_path, capsys):
     _, dgms = _orbit_diagrams(tmp_path)
     model = tmp_path / "model.json"
@@ -231,20 +254,37 @@ def test_bad_model_json_is_io_error(tmp_path):
                 "--out", str(tmp_path / "p.jsonl")]) == 4
 
 
-def test_ph_over_budget_fails_before_allocating(tmp_path, capsys):
-    # the default --max-value inf on 400 points gives C(400, 3) > 10^7 candidate
-    # triangles; the guard must fire before their arrays (hundreds of MB) exist
-    pts = np.random.default_rng(0).uniform(0, 1, size=(400, 3))
+def _ph_peak(tmp_path, pts, *options):
+    """Exit code and tracemalloc peak of CLI ph on one cloud at the default --max-value inf."""
     data = tmp_path / "d.jsonl"
     save_dataset_jsonl(LabeledDataset((Measure(pts),), np.array([0])), data)
     tracemalloc.start()
     try:
-        code = run(["ph", "--input", str(data), "--output", str(tmp_path / "dg.jsonl")])
+        code = run(["ph", "--input", str(data), "--output", str(tmp_path / "dg.jsonl"), *options])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 5
-    assert "budget" in capsys.readouterr().err
+    return code, peak
+
+
+def test_ph_over_budget_fails_before_allocating(tmp_path, capsys):
+    # C(400, 3) > 10^7 candidate triangles; the guard must fire before their
+    # arrays (hundreds of MB) exist.  Rips keeps every candidate, and Cech
+    # does too on collinear points, where Qhull fails
+    uniform = np.random.default_rng(0).uniform(0, 1, size=(400, 3))
+    collinear = np.linspace(0, 1, 400)[:, None] * np.array([1.0, 2.0, -1.0])
+    for pts, options in ((uniform, ["--complex", "rips"]), (collinear, [])):
+        code, peak = _ph_peak(tmp_path, pts, *options)
+        assert code == 5
+        assert "budget" in capsys.readouterr().err
+        assert peak < 100e6
+
+
+def test_ph_cech_builds_400_points_at_inf(tmp_path):
+    # the Delaunay faces are the only Cech candidates in general position
+    pts = np.random.default_rng(0).uniform(0, 1, size=(400, 3))
+    code, peak = _ph_peak(tmp_path, pts)
+    assert code == 0
     assert peak < 100e6
 
 

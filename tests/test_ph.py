@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from measureboost.measures import Measure
-from measureboost.ph import cech_filtration, persistence, rips_filtration
-from measureboost.ph.complexes import _circumradius3, _dedup_points, miniball_radius
+from measureboost.ph import FilteredComplex, cech_filtration, persistence, rips_filtration
+from measureboost.ph.complexes import _circumradius3, _dedup_points, _half_distances, miniball_radius
 from measureboost.ph.diagrams import (
     PersistenceDiagram,
     diagram_to_measure,
@@ -81,6 +81,20 @@ def test_max_value_truncates():
     assert all(v <= 0.4 for _, v in fc.simplices)
 
 
+def dedup_by_unique(points):
+    """Every row but the first occurrence of its value jittered, the repeats
+    found with np.unique: the reference for the builder's duplicate search."""
+    _, first = np.unique(points, axis=0, return_index=True)
+    if len(first) == len(points):
+        return points
+    diag = float(np.linalg.norm(np.ptp(points, axis=0))) or 1.0
+    jitter = np.random.default_rng(715517).standard_normal(points.shape) * (1e-12 * diag)
+    later = np.setdiff1d(np.arange(len(points)), first)
+    out = points.copy()
+    out[later] += jitter[later]
+    return out
+
+
 def brute_force_filtration(points, max_dim, max_value, cech):
     """Every vertex subset up to max_dim + 1 vertices, valued as the builders value it.
 
@@ -88,7 +102,7 @@ def brute_force_filtration(points, max_dim, max_value, cech):
     the value is the half distance for edges and, above, the Cech radius or
     nothing (Rips) raised to the facet maximum.
     """
-    pts = _dedup_points(np.asarray(points, dtype=float))
+    pts = dedup_by_unique(np.asarray(points, dtype=float))
     values = {(i,): 0.0 for i in range(len(pts))}
     for size in range(2, max_dim + 2):
         for verts in itertools.combinations(range(len(pts)), size):
@@ -111,10 +125,12 @@ def brute_force_filtration(points, max_dim, max_value, cech):
 
 
 @st.composite
-def degenerate_clouds(draw):
-    """Small clouds on half grids, lines and circles, often with a repeated point."""
-    n, d = draw(st.integers(0, 9)), draw(st.integers(1, 3))
-    layout = draw(st.sampled_from(["grid", "line", "circle", "uniform"]))
+def degenerate_clouds(draw, min_n=0, min_d=1):
+    """Small clouds on half grids, lines and circles, of drawn floats (often
+    repeated or cocircular) and of uniform random points, often with a
+    repeated point; with whether the cloud is uniform and has no repeat."""
+    n, d = draw(st.integers(min_n, 9)), draw(st.integers(min_d, 3))
+    layout = draw(st.sampled_from(["grid", "line", "circle", "floats", "uniform"]))
     if layout == "grid":
         pts = np.array(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))) / 2.0
     elif layout == "line":
@@ -124,13 +140,54 @@ def degenerate_clouds(draw):
         angles = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) * np.pi / 4
         pts = np.zeros((n, d))
         pts[:, 0], pts[:, 1] = np.cos(angles), np.sin(angles)
+    elif layout == "uniform":
+        pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, n * d)
     else:
         floats = st.floats(0.0, 2.0, allow_nan=False)
         pts = np.array(draw(st.lists(floats, min_size=n * d, max_size=n * d)))
     pts = pts.reshape(n, d)
-    if n > 1 and draw(st.booleans()):
+    repeat = n > 1 and draw(st.booleans())
+    if repeat:
         pts[-1] = pts[0]
-    return pts
+    return pts, layout == "uniform" and not repeat
+
+
+def _sorted_pairs(dg, rtol=0.0):
+    """The essential pairs and the pairs longer than rtol times their death, sorted."""
+    b, d = dg.pairs.T
+    p = dg.pairs[d - b > rtol * np.where(np.isinf(d), 0.0, d)]
+    return p[np.lexsort((p[:, 1], p[:, 0]))]
+
+
+def assert_matches_enumeration(cloud, max_dim, max_value, kind):
+    pts, uniform = cloud
+    n, d = pts.shape
+    build = cech_filtration if kind == "cech" else rips_filtration
+    fc = build(pts, max_dim=max_dim, max_value=max_value)
+    want = brute_force_filtration(pts, max_dim, max_value, kind == "cech")
+    if kind == "rips" or not (2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1):
+        assert fc.simplices == want  # every candidate is kept
+        return
+    # Delaunay-Cech: fewer simplices, the same persistence
+    got = persistence(fc)
+    want = persistence(FilteredComplex(want, max_dim=max_dim, n_points=n))
+    assert [dg.dim for dg in got] == [dg.dim for dg in want]
+    for a, b in zip(got, want):
+        if a.dim == 2:
+            # miniball_radius accepts a ball that encloses within a relative
+            # 1e-9, so the enumeration's H2 holds many pairs of a triangle and
+            # a tetrahedron whose radii differ only by rounding (in the plane
+            # too, where H2 is empty)
+            rtol = 1e-9
+        elif uniform:
+            assert np.array_equal(_sorted_pairs(a), _sorted_pairs(b))
+            continue
+        else:
+            # on a regular octagon a different triangle on the shared circle
+            # kills the H1 class, and its radius rounds differently (1.0 vs
+            # 0.9999999999999999)
+            rtol = 1e-12
+        np.testing.assert_allclose(_sorted_pairs(a, rtol), _sorted_pairs(b, rtol), rtol=rtol, atol=0)
 
 
 @given(
@@ -140,10 +197,34 @@ def degenerate_clouds(draw):
     st.sampled_from(["cech", "rips"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_builders_match_all_subsets_enumeration(pts, max_dim, max_value, kind):
-    build = cech_filtration if kind == "cech" else rips_filtration
-    fc = build(pts, max_dim=max_dim, max_value=max_value)
-    assert fc.simplices == brute_force_filtration(pts, max_dim, max_value, kind == "cech")
+def test_builders_match_all_subsets_enumeration(cloud, max_dim, max_value, kind):
+    assert_matches_enumeration(cloud, max_dim, max_value, kind)
+
+
+@given(degenerate_clouds(min_n=5, min_d=2), st.integers(2, 3), st.sampled_from([0.3, 0.6, 1.0, np.inf]))
+@settings(max_examples=300, deadline=None)
+def test_delaunay_cech_matches_all_subsets_enumeration(cloud, max_dim, max_value):
+    # the inputs of the Delaunay path, which the test above draws rarely
+    assert_matches_enumeration(cloud, max_dim, max_value, "cech")
+
+
+@given(degenerate_clouds(), st.booleans())
+@example((np.array([[0.0, 1.0], [1e-200, 1.0]]), True), False)  # distance underflows to 0
+@settings(max_examples=200, deadline=None)
+def test_duplicate_search_matches_np_unique(cloud, flipped_copy):
+    pts = cloud[0]
+    if flipped_copy and len(pts):  # the first row with its zeros negated: -0.0 == 0.0
+        pts = np.vstack([pts, np.where(pts[0] == 0, -pts[0], pts[0])])
+    got, half = _dedup_points(pts)
+    want = dedup_by_unique(pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(half, _half_distances(want))
+
+
+def test_planar_cloud_has_no_h2():
+    pts = np.random.default_rng(3).uniform(0, 1, size=(25, 2))
+    h2 = next(dg for dg in persistence(cech_filtration(pts, max_dim=3, max_value=np.inf)) if dg.dim == 2)
+    assert len(h2) == 0
 
 
 @given(st.integers(0, 2**31 - 1))
