@@ -41,13 +41,6 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _as_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be a list of finite nonnegative numbers")
-    return w
-
-
 @dataclass(frozen=True)
 class Measure:
     """A finite measure: support points (n, d) and nonnegative weights (n,).
@@ -61,9 +54,14 @@ class Measure:
 
     def __post_init__(self):
         pts = _as_points(self.points)
-        w = np.ones(len(pts)) if self.weights is None else _as_weights(self.weights)
+        if self.weights is None:
+            w = np.ones(len(pts))
+        else:
+            w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(pts),):
             raise ValueError(f"weights shape {w.shape} does not match {len(pts)} points")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("weights must be finite and nonnegative")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -170,34 +168,35 @@ def mbar_p(data: LabeledDataset, p: float) -> float:
 # "weights" is optional and defaults to all ones.
 
 
-def require_fields(rec, fields, path, index: int, optional=None) -> dict:
+def _malformed(path, index: int, key, reason) -> KeyError:
+    return KeyError(f"{path}: record {index} has a malformed {key!r} field ({reason})")
+
+
+def require_fields(rec, fields, path, index: int) -> dict:
     """Check one record: `fields` maps each required key to a converter, and
-    the converted value replaces the raw one; `optional` does the same for
-    keys a record may leave out.  A record that is not an object, a missing
-    required key or a value its converter rejects raises KeyError naming the
-    file, the record and the field."""
+    the converted value replaces the raw one.  A record that is not an
+    object, a missing key or a value its converter rejects raises KeyError
+    naming the file, the record and the field."""
     if not isinstance(rec, dict):
         raise KeyError(f"{path}: record {index} is not a JSON object")
-    for key, convert in {**fields, **(optional or {})}.items():
+    for key, convert in fields.items():
         if key not in rec:
-            if key in fields:
-                raise KeyError(f"{path}: record {index} has no {key!r} field")
-            continue
+            raise KeyError(f"{path}: record {index} has no {key!r} field")
         try:
             rec[key] = convert(rec[key])
         except (TypeError, ValueError) as exc:
-            raise KeyError(f"{path}: record {index} has a malformed {key!r} field ({exc})") from None
+            raise _malformed(path, index, key, exc) from None
     return rec
 
 
-def read_jsonl(path, fields, optional=None) -> list:
+def read_jsonl(path, fields) -> list:
     """The records of a JSON Lines file, blank lines skipped, each checked
     and converted by `require_fields`."""
     records = []
     with open(path) as fh:
         for line in fh:
             if line.strip():
-                records.append(require_fields(json.loads(line), fields, path, len(records) + 1, optional))
+                records.append(require_fields(json.loads(line), fields, path, len(records) + 1))
     return records
 
 
@@ -211,16 +210,16 @@ def save_dataset_jsonl(data: LabeledDataset, path) -> None:
 
 
 def load_dataset_jsonl(path) -> LabeledDataset:
-    dims = set()
-
-    def points(raw):  # every non-empty record in one ambient dimension
-        pts = _as_points(raw)
-        if len(pts):
-            dims.add(pts.shape[1])
+    records = read_jsonl(path, {"points": _as_points, "label": int})
+    measures, dims = [], set()
+    for index, rec in enumerate(records, 1):
+        try:  # the points are checked, so what fails here is the weights
+            mu = Measure(rec["points"], rec.get("weights"))
+        except (TypeError, ValueError) as exc:
+            raise _malformed(path, index, "weights", exc) from None
+        if len(mu):
+            dims.add(mu.dim)
         if len(dims) > 1:
-            raise ValueError(f"points of dimensions {sorted(dims)} in one file")
-        return pts
-
-    records = read_jsonl(path, {"points": points, "label": int}, {"weights": _as_weights})
-    measures = tuple(Measure(rec["points"], rec.get("weights")) for rec in records)
-    return LabeledDataset(measures, np.array([rec["label"] for rec in records], dtype=int))
+            raise _malformed(path, index, "points", f"dimensions {sorted(dims)} in one file")
+        measures.append(mu)
+    return LabeledDataset(tuple(measures), np.array([rec["label"] for rec in records], dtype=int))

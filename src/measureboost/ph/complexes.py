@@ -16,9 +16,10 @@ max(d, max_dim) + 1 points with max_dim >= 2, takes its edges and
 candidates from the faces of the Delaunay triangulation instead: the Cech
 and Delaunay-Cech filtrations have the same persistence (Bauer and
 Edelsbrunner, The Morse theory of Cech and Delaunay complexes, 2017), with
-far fewer simplices.  It falls back to every common neighbour when Qhull
-cannot be trusted with the cloud (see `_delaunay_cells`).  Smaller clouds
-keep every candidate, so the top simplex of k+2 points is always there.
+far fewer simplices.  It falls back to every common neighbour on a cloud
+with a repeated point and when Qhull cannot be trusted with the cloud (see
+`_delaunay_cells`).  Smaller clouds keep every candidate, so the top simplex
+of k+2 points is always there.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def _half_distances(points: np.ndarray) -> np.ndarray:
 
 def _dedup_points(points: np.ndarray):
     """The points, with every later copy of a repeated point jittered
-    deterministically so distances are nonzero, and their half distances.
+    deterministically so distances are nonzero (the same array when no point
+    repeats), and their half distances.
 
     Repeats are the zero off-diagonal distances whose rows are equal: a
     squared difference below 1e-154 underflows to zero, so a zero distance
@@ -177,8 +179,12 @@ def _cech_value(points, simplices):
 
 
 def _codes(simplices, n):
-    """Integer codes of vertex rows that order like the rows' vertex tuples."""
-    code = simplices[:, 0]
+    """Integer codes of vertex rows that order like the rows' vertex tuples.
+
+    In int64 whatever the rows' type (Qhull's cells are int32, whose codes
+    of 3 vertices would wrap from n = 1291 on); exact while n**4 < 2**63.
+    """
+    code = simplices[:, 0].astype(np.int64)
     for col in simplices.T[1:]:
         code = code * n + col
     return code
@@ -199,9 +205,9 @@ def _delaunay_cells(points, edge_val):
 
     Qhull decides the cells on the lifted coordinates |p|^2, whose rounding
     error is about eps * diameter^2: two points closer than sqrt(eps) times
-    the diameter (a jittered duplicate among them) are below that
-    resolution.  It also fails on flat clouds and merges points closer than
-    its precision, which then drop out of the triangulation.
+    the diameter are below that resolution.  It also fails on flat clouds
+    and merges points closer than its precision, which then drop out of the
+    triangulation.
     """
     half = edge_val[np.triu_indices(len(points), 1)]
     if half.min() < np.sqrt(np.finfo(float).eps) * half.max():
@@ -292,14 +298,18 @@ def _build_filtration(points, max_dim, max_value, value_fn):
     n, d = points.shape
     simplices = [((i,), 0.0) for i in range(n)]
     if n >= 2 and max_dim >= 1:
-        points, edge_val = _dedup_points(points)
+        deduped, edge_val = _dedup_points(points)
         order = np.arange(n)
         up = (edge_val <= max_value) & (order[:, None] < order)
         cells, top = None, max_dim
-        # Cech and Delaunay-Cech filtrations have the same persistence; the
-        # (k+2)-point clouds of mu_k_montecarlo keep every candidate
-        if value_fn is not None and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
+        # Cech and Delaunay-Cech filtrations have the same persistence.  The
+        # (k+2)-point clouds of mu_k_montecarlo keep every candidate, and so
+        # do clouds with a repeated point: when every point is a copy of one,
+        # the jittered copies span only 1e-12 and their radii are rounding noise
+        repeated = deduped is not points
+        if value_fn is not None and not repeated and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
             cells = _delaunay_cells(points, edge_val)
+        points = deduped
         if cells is not None:
             edges = _cell_faces(cells, 2, n)
             delaunay = np.zeros_like(up)

@@ -202,11 +202,12 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field)
     [
         ("ph", ['{"points": [[0, 1]], "label": 0, "weights": "abc"}'], 1, "weights"),
         ("ph", ['{"points": [[0, 1]], "label": 0, "weights": [-1]}'], 1, "weights"),
+        ("ph", ['{"points": [[0, 1], [1, 1]], "label": 0, "weights": [1]}'], 1, "weights"),
         ("bottleneck", ['{"dim": 1, "pairs": [[1, 0]]}'], 1, "pairs"),
         ("ph", ['{"points": [[0, 1]], "label": 0}', '{"points": [], "label": 0}',
                 '{"points": [[0, 1, 2]], "label": 0}'], 3, "points"),
     ],
-    ids=["weights-string", "weights-negative", "birth-after-death", "mixed-dimensions"],
+    ids=["weights-string", "weights-negative", "weights-length", "birth-after-death", "mixed-dimensions"],
 )
 def test_malformed_field_names_file_record_and_field(tmp_path, capsys, command, lines, index, field):
     bad = tmp_path / "bad.jsonl"
