@@ -88,7 +88,7 @@ def graph_sublevel_diagrams(g: Graph, values) -> tuple:
     simplices = [((v,), float(values[v])) for v in range(g.n)]
     simplices += [((u, v), float(max(values[u], values[v]))) for u, v in g.edges]
     simplices.sort(key=_sort_key)
-    fc = FilteredComplex(tuple(simplices), max_dim=2, n_points=g.n)  # D0 and D1; no triangles
+    fc = FilteredComplex(tuple(simplices), max_dim=2)  # D0 and D1; no triangles
     return tuple(persistence(fc, include_zero_length=True))
 
 

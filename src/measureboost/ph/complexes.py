@@ -42,7 +42,6 @@ class FilteredComplex:
 
     simplices: tuple  # of (verts: tuple[int, ...], value: float)
     max_dim: int
-    n_points: int
 
     def by_dim(self) -> list:
         """Simplices grouped by dimension, each group in filtration order."""
@@ -148,21 +147,24 @@ def miniball_radius(pts: np.ndarray) -> float:
     """Exact minimal enclosing ball radius of a small point set (<= 5 points).
 
     Enumerates boundary subsets and keeps the smallest enclosing candidate;
-    equivalent to Welzl's recursion at these sizes.
+    equivalent to Welzl's recursion at these sizes.  Each subset is solved in
+    coordinates relative to its first point: differences of nearby points are
+    exact, so the relative enclosure test holds at any scale.
     """
     pts = np.asarray(pts, dtype=float)
     n, d = pts.shape
     best = None
     for size in range(1, min(n, d + 1) + 1):
         for subset in itertools.combinations(range(n), size):
-            res = _circumsphere_subset(pts[list(subset)])
+            rel = pts - pts[subset[0]]
+            res = _circumsphere_subset(rel[list(subset)])
             if res is None:
                 continue
             center, radius = res
             if best is not None and radius >= best:
                 continue
-            dmax = float(np.sqrt(np.max(np.sum((pts - center) ** 2, axis=1))))
-            if dmax <= radius * (1 + 1e-9) + 1e-12:
+            dmax = float(np.sqrt(np.max(np.sum((rel - center) ** 2, axis=1))))
+            if dmax <= radius * (1 + 1e-9):
                 best = radius if best is None else min(best, radius)
     if best is None:  # numerically degenerate: fall back to half-diameter bound
         best = 0.5 * float(
@@ -324,7 +326,7 @@ def _build_filtration(points, max_dim, max_value, value_fn):
                 faces, values = _cofaces(points, faces, values, up, max_value, value_fn, cells)
             simplices.extend(zip(map(tuple, faces.tolist()), values.tolist()))
     simplices.sort(key=_sort_key)
-    return FilteredComplex(tuple(simplices), max_dim=max_dim, n_points=n)
+    return FilteredComplex(tuple(simplices), max_dim=max_dim)
 
 
 def _as_cloud(points) -> np.ndarray:

@@ -479,7 +479,7 @@ def run_graph_hks_demo(cfg: RunConfig, workers=1):
 
 def limit_check_defaults():
     return {
-        "setup": {"name": "square", "k": 0, "d": 2},
+        "setup": {"name": "square", "k": 0},
         "data": {"sizes": (200, 2000), "n_seeds": 10, "n_mc": 2000},
         "rectangles": {
             "r1": (0.5, 1.0, 1.0, 2.0),
@@ -491,14 +491,15 @@ def limit_check_defaults():
     }
 
 
+_SETUP_DIM = {"circle": 1, "square": 2}  # dimension of the set each setup samples
+
+
 def _limit_cloud(setup, n, seed):
     rng = np.random.default_rng(seed)
     if setup == "circle":
         theta = rng.uniform(0.0, 2 * np.pi, size=n)
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    if setup == "square":
-        return rng.uniform(0.0, 1.0, size=(n, 2))
-    raise ValueError(f"unknown setup {setup!r}")
+    return rng.uniform(0.0, 1.0, size=(n, 2))  # the square
 
 
 def _density_moment(setup, k):
@@ -511,7 +512,9 @@ def run_limit_check(cfg: RunConfig, workers=1):
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     setup = cfg["setup"]["name"]
-    k, d = cfg["setup"]["k"], cfg["setup"]["d"]
+    if setup not in _SETUP_DIM:
+        raise ConfigError(f"bad value for [setup] name: {setup!r}")
+    k, d = cfg["setup"]["k"], _SETUP_DIM[setup]
     rects = {name: Rectangle(*vals) for name, vals in cfg["rectangles"].items()}
     base = cfg["seeds"]["base"]
     v_max = max(r.v for r in rects.values())

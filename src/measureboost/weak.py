@@ -1,7 +1,8 @@
 """Weak classifiers on measures: a region, a mass threshold and a sign.
 
-`exhaustive_search` is the trainer: it scans a discretized grid of regions x
-thresholds x orientations for the weighted 0-1 loss minimizer.
+`exhaustive_search` is the trainer: it fills one array with the weighted 0-1
+loss of every orientation x region x threshold of a discretized grid and
+returns its first minimum.
 
 The decision rule is strict: predict label 1 iff sign * (mass - threshold) > 0.
 Ties at exactly the threshold therefore predict label 0, deterministically.
@@ -28,6 +29,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-9
 _KMEANS_ITERS = 100
 _KMEANS_TOL = 1e-6
+_CELLS = 1 << 20  # most (region, threshold, measure) cells one search block holds
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class GridSpec:
         object.__setattr__(self, "regions", tuple(self.regions))
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(self.thresholds))
+            if len(self.thresholds) == 0:
+                raise ValueError("grid thresholds must not be empty")
 
     @staticmethod
     def balls(centers, radii, thresholds=None) -> "GridSpec":
@@ -104,11 +108,10 @@ def weighted_error(h: WeakClassifier, data: LabeledDataset, w=None) -> float:
 
 
 def default_thresholds(masses: np.ndarray) -> np.ndarray:
-    """Mass quantiles 0, 0.1, ..., 1 plus midpoints of consecutive quantiles."""
-    qs = np.quantile(masses, np.linspace(0, 1, 11))
-    qs = np.unique(qs)
-    mids = (qs[:-1] + qs[1:]) / 2.0
-    return np.unique(np.concatenate([qs, mids]))
+    """Per region (row of masses), its mass quantiles 0, 0.1, ..., 1 plus the
+    midpoints of consecutive quantiles, sorted; repeated values are kept."""
+    qs = np.sort(np.quantile(masses, np.linspace(0, 1, 11), axis=1).T, axis=1)
+    return np.sort(np.hstack([qs, (qs[:, :-1] + qs[:, 1:]) / 2.0]), axis=1)
 
 
 def exhaustive_search(
@@ -116,10 +119,9 @@ def exhaustive_search(
 ):
     """Minimize the weighted 0-1 error over regions x thresholds x signs.
 
-    Region masses are computed once per (measure, region) pair and reused
-    for every threshold.  Ties break deterministically: lowest error, then
-    sign +1 before -1, then grid enumeration order (region-major, then
-    threshold order).
+    The errors fill one (sign, region, threshold) array, sign +1 first and
+    thresholds ascending; its first minimum is the result, so ties break to
+    sign +1, then the lower region index, then the lower threshold.
 
     Returns (WeakClassifier, error).
     """
@@ -128,26 +130,23 @@ def exhaustive_search(
     y = data.labels
     if masses is None:
         masses = mass_matrix(data.measures, grid.regions)
-    best = None  # (error, sign_rank, region_idx, thr_idx, classifier)
-    for a, region in enumerate(grid.regions):
-        m = masses[a]
-        thr = (
-            np.asarray(grid.thresholds, dtype=float)
-            if grid.thresholds is not None
-            else default_thresholds(m)
-        )
+    if grid.thresholds is None:
+        thr = default_thresholds(masses)
+    else:
+        thr = np.asarray(grid.thresholds, dtype=float)
+        thr = np.broadcast_to(thr, (len(grid.regions), len(thr)))
+    pos, neg = (y == 0) * w, (y == 1) * w  # loss of predicting 1, of predicting 0
+    errs = np.empty((2,) + thr.shape)
+    step = max(1, _CELLS // (thr.shape[1] * n))  # regions per block of temporaries
+    for lo in range(0, len(thr), step):
+        rows = slice(lo, lo + step)
         # strict rule both ways: sign +1 predicts 1 iff m > t, sign -1 iff m < t
         # (m == t predicts 0 in either orientation, matching predict())
-        above = m[None, :] > thr[:, None]
-        below = m[None, :] < thr[:, None]
-        err_plus = np.where(above, (y == 0) * w, (y == 1) * w).sum(axis=1)
-        err_minus = np.where(below, (y == 0) * w, (y == 1) * w).sum(axis=1)
-        for sign_rank, errs, sign in ((0, err_plus, 1), (1, err_minus, -1)):
-            t = int(np.argmin(errs))
-            key = (float(errs[t]), sign_rank, a, t)
-            if best is None or key < best[0]:
-                best = (key, WeakClassifier(region, float(thr[t]), sign))
-    return best[1], best[0][0]
+        m, t = masses[rows, None, :], thr[rows, :, None]
+        errs[0, rows] = np.where(m > t, pos, neg).sum(axis=2)
+        errs[1, rows] = np.where(m < t, pos, neg).sum(axis=2)
+    s, a, t = np.unravel_index(np.argmin(errs), errs.shape)
+    return WeakClassifier(grid.regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t])
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
@@ -159,26 +158,21 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
         raise ValueError("k exceeds the number of points")
     rng = np.random.default_rng(seed)
     centers = [points[rng.integers(len(points))]]
+    d2 = np.full(len(points), np.inf)
     for _ in range(k - 1):
-        d2 = np.min(
-            np.sum((points[:, None, :] - np.array(centers)[None, :, :]) ** 2, axis=-1),
-            axis=1,
-        )
-        total = d2.sum()
-        if total <= 0:  # all remaining points coincide with centers
-            far = np.argsort(-d2)
-            centers.append(points[far[0]])
-            continue
-        centers.append(points[rng.choice(len(points), p=d2 / total)])
+        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(-1))
+        total = d2.sum()  # 0 when all remaining points coincide with centers
+        i = np.argsort(-d2)[0] if total <= 0 else rng.choice(len(points), p=d2 / total)
+        centers.append(points[i])
     centers = np.array(centers)
+    dim = points.shape[1]
     for _ in range(_KMEANS_ITERS):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        assign = np.argmin(d2, axis=1)
-        new = centers.copy()
-        for c in range(k):
-            mask = assign == c
-            if mask.any():
-                new[c] = points[mask].mean(axis=0)
+        assign = np.argmin(np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1), axis=1)
+        # per-cluster sums in index order, like mean(axis=0) over the members
+        cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(cells, points.ravel(), centers.size).reshape(centers.shape)
+        counts = np.bincount(assign, minlength=k)[:, None]
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), centers)  # empty: keep the center
         shift = float(np.max(np.linalg.norm(new - centers, axis=1)))
         centers = new
         if shift < _KMEANS_TOL:

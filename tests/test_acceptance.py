@@ -187,12 +187,11 @@ def test_criterion_8_limit_measure_trend(tmp_path):
     failures = []
     # degree 0, recipe defaults: every birth is 0, below s, and the
     # Monte-Carlo integrand cancels, so the count and its limit are exactly 0
-    for setup, d in (("circle", 1), ("square", 2)):
+    for setup in ("circle", "square"):
         rows = run_experiment(
             "limit-check",
             overrides={
                 ("setup", "name"): setup,
-                ("setup", "d"): d,
                 ("output", "dir"): str(tmp_path / setup),
             },
         )
@@ -207,7 +206,6 @@ def test_criterion_8_limit_measure_trend(tmp_path):
         overrides={
             ("setup", "name"): "square",
             ("setup", "k"): 1,
-            ("setup", "d"): 2,
             ("data", "n_mc"): 20000,
             **{("rectangles", name): r for name, r in DEGREE_1_RECTANGLES.items()},
             ("output", "dir"): str(tmp_path / "square-k1"),

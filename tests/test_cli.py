@@ -296,6 +296,15 @@ def test_limit_check_above_degree_2_fails_before_writing(tmp_path):
     assert not (tmp_path / "limit_check.csv").exists()
 
 
+@pytest.mark.parametrize("setup, key", [("name = circle\nd = 2", "[setup] d"), ("name = triangle", "[setup] name")])
+def test_limit_check_setup_config_errors(tmp_path, capsys, setup, key):
+    # d follows from the setup name, so it is not a key
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[setup]\n{setup}\n")
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 3
+    assert key in capsys.readouterr().err
+
+
 def test_bottleneck_missing_dim_is_value_error(tmp_path):
     data = tmp_path / "d.jsonl"
     run(["gen", "--generator", "orbit", "--out", str(data), "--count", "1",

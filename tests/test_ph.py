@@ -81,6 +81,17 @@ def test_miniball_obtuse_triangle():
     assert miniball_radius(pts) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_miniball_tiny_cluster_far_from_origin():
+    # a 1e-12 cluster at distance 1 has the radii of the same cluster moved
+    # to the origin and scaled up: the enclosure test is relative only
+    p = np.array([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4), 0.0])
+    pts = p + np.random.default_rng(0).normal(scale=1e-12, size=(5, 3))
+    for subset in itertools.combinations(range(5), 4):
+        q = pts[list(subset)]
+        scaled = miniball_radius((q - p) * 1e12) / 1e12
+        assert miniball_radius(q) == pytest.approx(scaled, rel=1e-9, abs=0)
+
+
 def test_max_value_truncates():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(12, 2))
@@ -200,7 +211,7 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
         return
     # Delaunay-Cech: fewer simplices, the same persistence
     got = persistence(fc)
-    want = persistence(FilteredComplex(want, max_dim=max_dim, n_points=n))
+    want = persistence(FilteredComplex(want, max_dim=max_dim))
     assert [dg.dim for dg in got] == [dg.dim for dg in want]
     # Where d + 2 points share a sphere, the Delaunay cells are not unique and
     # another simplex on that sphere may kill a class: on a regular octagon a

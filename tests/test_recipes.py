@@ -268,7 +268,6 @@ def test_limit_check_recipe_end_to_end(tmp_path):
         "limit-check",
         overrides={
             ("setup", "name"): "circle",
-            ("setup", "d"): 1,
             ("setup", "k"): 0,
             ("data", "sizes"): (50, 100),
             ("data", "n_seeds"): 2,
@@ -282,6 +281,8 @@ def test_limit_check_recipe_end_to_end(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "setup"
     assert len(rows) > 1
+    # the circle is a curve: its scale follows d = 1 without a d key
+    assert all(r[4] == repr(limits.r_n_schedule(int(r[1]), 0, 1)) for r in rows[1:])
 
 
 def test_limit_check_degree_1_matches_full_build(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from measureboost.measures import LabeledDataset, Measure
 from measureboost.regions import Ball
+from measureboost import weak
 from measureboost.weak import (
     GridSpec,
     WeakClassifier,
@@ -104,11 +105,68 @@ def test_exhaustive_weighted():
         exhaustive_search(data, grid, w=np.full(n, 1.0))  # does not sum to 1
 
 
+def _loop_thresholds(m):
+    """Reference: one region's thresholds as the per-region loop derived them."""
+    qs = np.unique(np.quantile(m, np.linspace(0, 1, 11)))
+    return np.unique(np.concatenate([qs, (qs[:-1] + qs[1:]) / 2.0]))
+
+
+def _loop_search(data, grid, w, masses):
+    """Reference: the per-region loop with its explicit tie key
+    (error, sign +1 first, region index, threshold index)."""
+    n = len(data)
+    w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=float)
+    y = data.labels
+    best = None
+    for a, region in enumerate(grid.regions):
+        m = masses[a]
+        thr = _loop_thresholds(m) if grid.thresholds is None else np.asarray(grid.thresholds, dtype=float)
+        err_plus = np.where(m[None, :] > thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
+        err_minus = np.where(m[None, :] < thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
+        for sign_rank, errs, sign in ((0, err_plus, 1), (1, err_minus, -1)):
+            t = int(np.argmin(errs))
+            key = (float(errs[t]), sign_rank, a, t)
+            if best is None or key < best[0]:
+                best = (key, WeakClassifier(region, float(thr[t]), sign))
+    return best[1], best[0][0]
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1, 50, 1 << 20]))
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_search_matches_region_loop(seed, cells):
+    # integer masses and fixed thresholds make ties in error, threshold and
+    # region common; small _CELLS split the regions over several blocks
+    rng = np.random.default_rng(seed)
+    n, n_regions = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+    if rng.random() < 0.5:
+        masses = rng.integers(0, 5, size=(n_regions, n)).astype(float)
+    else:
+        masses = rng.uniform(0, 3, size=(n_regions, n))
+    thresholds = None if rng.random() < 0.5 else tuple(rng.integers(0, 5, size=int(rng.integers(1, 6))) / 1.0)
+    grid = GridSpec(tuple(Ball(np.zeros(2), float(r + 1)) for r in range(n_regions)), thresholds)
+    data = LabeledDataset(tuple(unit([[0, 0]]) for _ in range(n)), rng.integers(0, 2, size=n))
+    w = None if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
+    want, want_err = _loop_search(data, grid, w, masses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weak, "_CELLS", cells)
+        got, got_err = exhaustive_search(data, grid, w, masses=masses)
+    assert got.region is want.region
+    assert (got.threshold, got.sign, got_err) == (want.threshold, want.sign, want_err)
+
+
+def test_grid_rejects_empty_thresholds():
+    with pytest.raises(ValueError):
+        GridSpec((Ball(np.zeros(2), 1.0),), thresholds=())
+
+
 def test_default_thresholds_cover_extremes():
-    masses = np.array([0.0, 1.0, 3.0, 3.0, 7.0])
+    masses = np.array([[0.0, 1.0, 3.0, 3.0, 7.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
     thr = default_thresholds(masses)
-    assert thr.min() == 0.0 and thr.max() == 7.0
-    assert np.all(np.diff(thr) > 0)
+    assert thr.shape == (2, 21)
+    assert np.all(thr.min(axis=1) == [0.0, 2.0]) and np.all(thr.max(axis=1) == [7.0, 2.0])
+    assert np.all(np.diff(thr, axis=1) >= 0)
+    for row, m in zip(thr, masses):  # repeats kept, but the same distinct values
+        np.testing.assert_array_equal(np.unique(row), _loop_thresholds(m))
 
 
 def test_kmeans_deterministic_and_reasonable():
@@ -125,6 +183,54 @@ def test_kmeans_deterministic_and_reasonable():
 def test_kmeans_k_too_large():
     with pytest.raises(ValueError):
         kmeans_centers(np.zeros((2, 2)), 3)
+
+
+def _loop_kmeans(points, k, seed):
+    """Reference: k-means++ over every chosen center, Lloyd means per center."""
+    rng = np.random.default_rng(seed)
+    centers = [points[rng.integers(len(points))]]
+    for _ in range(k - 1):
+        d2 = np.min(np.sum((points[:, None, :] - np.array(centers)[None, :, :]) ** 2, axis=-1), axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(points[np.argsort(-d2)[0]])
+            continue
+        centers.append(points[rng.choice(len(points), p=d2 / total)])
+    centers = np.array(centers)
+    for _ in range(100):
+        assign = np.argmin(np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1), axis=1)
+        new = centers.copy()
+        for c in range(k):
+            if (assign == c).any():
+                new[c] = points[assign == c].mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new - centers, axis=1)))
+        centers = new
+        if shift < 1e-6:
+            break
+    return centers
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_kmeans_matches_center_loop(seed, dim):
+    # exact in the 2-D and 3-D feature spaces the recipes cluster (in 1-D,
+    # mean() sums pairwise and may differ in the last bit); rounded clouds
+    # repeat points, so clusters can start on one point and empty out
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    pts = rng.normal(size=(n, dim))
+    pts = np.round(pts) if rng.random() < 0.3 else pts * 10 ** rng.uniform(-3, 3)
+    k = int(rng.integers(1, min(n, 10) + 1))
+    np.testing.assert_array_equal(kmeans_centers(pts, k, seed), _loop_kmeans(pts, k, seed))
+
+
+def test_kmeans_coincident_points():
+    # every center is the one point; all clusters but the first stay empty
+    pts = np.tile([[1.5, -2.0]], (7, 1))
+    for k in (1, 3, 7):
+        got = kmeans_centers(pts, k, seed=4)
+        np.testing.assert_array_equal(got, _loop_kmeans(pts, k, 4))
+        np.testing.assert_array_equal(got, np.tile(pts[0], (k, 1)))
 
 
 @given(st.integers(0, 2**31 - 1))
