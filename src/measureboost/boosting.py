@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -106,9 +107,10 @@ def staged_training_error(ensemble: Ensemble, data: LabeledDataset) -> list:
 def adaboost_fit(data: LabeledDataset, rounds: int, learner: Callable) -> Ensemble:
     """Discrete AdaBoost over a weak learner.
 
-    learner(data, weights) -> (WeakClassifier, weighted_error), on the data
-    relabeled to {0, 1}: the two present labels, or (0, 1) for constant
-    {0, 1} labels.  Stops early on a perfect round (error ~ 0, stage kept
+    learner(data, weights) -> (WeakClassifier, weighted_error, masses), on the
+    data relabeled to {0, 1}: the two present labels, or (0, 1) for constant
+    {0, 1} labels; masses, its region's mass per measure, give the round's
+    misses.  Stops early on a perfect round (error ~ 0, stage kept
     with capped alpha) or a useless one (error >= 0.5 after round 1, stage
     discarded).  Round 0 is always kept, so the ensemble is never empty; its
     alpha is negative when its error exceeds 0.5, and the vote then flips
@@ -126,8 +128,8 @@ def adaboost_fit(data: LabeledDataset, rounds: int, learner: Callable) -> Ensemb
     w = np.full(len(data), 1.0 / len(data))
     stages = []
     for t in range(rounds):
-        h, _ = learner(data01, w)
-        miss = h.predict(data.measures) != y01
+        h, _, row = learner(data01, w)
+        miss = h.predict_masses(row) != y01
         err = float(w[miss].sum())
         if err >= 0.5 and t > 0:
             break
@@ -164,13 +166,15 @@ class OneVsOneModel:
 
 
 def one_vs_one_fit(data: LabeledDataset, rounds: int, learner: Callable) -> OneVsOneModel:
+    """One `adaboost_fit` per class pair, whose learner also gets cols=, the
+    pair's positions in data."""
     labels = data.label_set
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
     models = {}
     for a, b in combinations(labels, 2):
-        pair = data.subset(np.nonzero(np.isin(data.labels, (a, b)))[0])
-        models[(a, b)] = adaboost_fit(pair, rounds, learner)
+        cols = np.nonzero(np.isin(data.labels, (a, b)))[0]
+        models[(a, b)] = adaboost_fit(data.subset(cols), rounds, partial(learner, cols=cols))
     return OneVsOneModel(models, tuple(labels))
 
 

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .regions import Ball
+
 __all__ = [
     "Measure",
     "LabeledDataset",
@@ -129,9 +131,10 @@ def integrate(mu: Measure, f: Callable[[np.ndarray], float]) -> float:
 def mass_matrix(measures, regions) -> np.ndarray:
     """masses[a, i] = mass that measure i puts inside closed region a.
 
-    The supports are stacked once and each region tests all of them in one
-    `contains_many` call (which checks the dimension); per-measure sums come
-    from one `np.bincount`.  An empty measure has mass 0 in every region.
+    The supports are stacked once and each region tests all of them at once
+    (checking the dimension); consecutive balls on one center share one
+    `Ball.sq_distances` pass.  Per-measure sums come from one `np.bincount`.
+    An empty measure has mass 0 in every region.
     """
     masses = np.zeros((len(regions), len(measures)))
     filled = [mu for mu in measures if len(mu)]
@@ -140,8 +143,11 @@ def mass_matrix(measures, regions) -> np.ndarray:
     points = np.vstack([mu.points for mu in filled])
     weights = np.concatenate([mu.weights for mu in filled])
     owner = np.repeat(np.arange(len(measures)), [len(mu) for mu in measures])
+    center = None
     for a, region in enumerate(regions):
-        inside = region.contains_many(points)
+        if isinstance(region, Ball) and not np.array_equal(region.center, center):
+            center, d2 = region.center, region.sq_distances(points)
+        inside = d2 <= region.radius**2 if isinstance(region, Ball) else region.contains_many(points)
         masses[a] = np.bincount(owner[inside], weights=weights[inside], minlength=len(measures))
     return masses
 

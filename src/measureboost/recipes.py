@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
 from .regions import Ball
-from .weak import GridSpec, exhaustive_search, kmeans_centers
+from .weak import GridSpec, default_thresholds, exhaustive_search, kmeans_centers
 
 __all__ = ["ConfigError", "RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
@@ -151,40 +152,50 @@ def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=
 def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) -> GridSpec:
     """Candidate balls: k-means centers of the pooled training support,
     radii at fixed quantiles of the center-to-point distances."""
-    allpts = np.vstack([m.points for m in train.measures if len(m)])
+    supports = [m.points for m in train.measures if len(m)]
+    if not supports:
+        raise ValueError("no training measure has a support point to place balls on")
+    allpts = np.vstack(supports)
     sub = allpts[:: max(1, len(allpts) // 20000)]  # cap the clustering input
     centers = kmeans_centers(sub, min(n_centers, len(sub)), seed=seed)
     dsub = allpts[:: max(1, len(allpts) // 4000)]
     d = np.linalg.norm(dsub[None, :, :] - np.asarray(centers)[:, None, :], axis=2)
     radii = np.unique(np.quantile(d, radius_quantiles))
     radii = radii[radii > 0]
+    if not len(radii):
+        raise ValueError("every ball radius is 0: the training support points all sit on k-means centers")
     return GridSpec.balls(centers, radii)
 
 
 def make_cached_learner(grid: GridSpec, train: LabeledDataset):
-    """Exhaustive-search learner over train's one mass matrix on the grid: a
-    dataset of train's own Measure objects (a one-vs-one pair) gets its
-    columns; any other measure raises ValueError."""
+    """Exhaustive-search learner over train's one mass matrix on the grid,
+    called as learner(data, w, cols=None) with cols data's positions in train
+    (None: all of train).  Masses and thresholds do not change between
+    rounds, so a fit's are taken once, when it starts."""
     masses = mass_matrix(train.measures, grid.regions)
-    index = {id(mu): i for i, mu in enumerate(train.measures)}  # valid while train lives
 
-    def learner(data, w):
-        cols = [index.get(id(mu), -1) for mu in data.measures]
-        if any(i < 0 or train.measures[i] is not mu for i, mu in zip(cols, data.measures)):
-            raise ValueError("the learner got a measure that is not in its training set")
-        return exhaustive_search(data, grid, w, masses=masses[:, cols])
+    @lru_cache(maxsize=1)  # the fit in progress
+    def columns(cols):
+        sub = masses if cols is None else masses[:, list(cols)]
+        return sub, default_thresholds(sub) if grid.thresholds is None else None
+
+    def learner(data, w, cols=None):
+        return exhaustive_search(data, grid, w, *columns(None if cols is None else tuple(cols)))
 
     return learner
 
 
-def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, seed):
+def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, seed, timings=None):
     """Boosted ball-mass classifier: one AdaBoost ensemble for two classes,
-    one-vs-one ensembles for more."""
-    grid = build_ball_grid(train, n_centers, radius_quantiles, seed + 7)
-    learner = make_cached_learner(grid, train)
-    if len(train.label_set) > 2:
-        return one_vs_one_fit(train, rounds, learner)
-    return adaboost_fit(train, rounds, learner)
+    one-vs-one ensembles for more.  `timings` gets the seconds spent on the
+    grid and its mass matrix (train_grid) and on boosting (train_boost)."""
+    t0 = time.perf_counter()
+    learner = make_cached_learner(build_ball_grid(train, n_centers, radius_quantiles, seed + 7), train)
+    t1 = time.perf_counter()
+    model = (one_vs_one_fit if len(train.label_set) > 2 else adaboost_fit)(train, rounds, learner)
+    if timings is not None:
+        timings.update(train_grid=t1 - t0, train_boost=time.perf_counter() - t1)
+    return model
 
 
 def classifier_predict(model, measures) -> np.ndarray:
@@ -256,10 +267,9 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
         _save_cloud_diagrams([per_item[i] for i in idx], labels[idx], f"{outdir}/{name}_diagrams.jsonl")
     train, test = (LabeledDataset(tuple(meas[i] for i in idx), labels[idx]) for idx in splits.values())
 
-    t0 = time.perf_counter()
     lrn = cfg["learner"]
-    model = fit_classifier(train, lrn["n_centers"], lrn["radius_quantiles"], cfg["boosting"]["rounds"], seed)
-    timings["train"] = time.perf_counter() - t0
+    model = fit_classifier(train, lrn["n_centers"], lrn["radius_quantiles"], cfg["boosting"]["rounds"], seed, timings)
+    timings["train"] = timings["train_grid"] + timings["train_boost"]
 
     t0 = time.perf_counter()
     preds = classifier_predict(model, test.measures)

@@ -40,11 +40,13 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains_many(self, points: np.ndarray) -> np.ndarray:
+    def sq_distances(self, points: np.ndarray) -> np.ndarray:
         if points.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        d2 = np.sum((points - self.center) ** 2, axis=1)
-        return d2 <= self.radius**2
+        return np.sum((points - self.center) ** 2, axis=1)
+
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        return self.sq_distances(points) <= self.radius**2
 
 
 @dataclass(frozen=True)

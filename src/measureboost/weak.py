@@ -115,26 +115,27 @@ def default_thresholds(masses: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_search(
-    data: LabeledDataset, grid: GridSpec, w=None, masses: np.ndarray | None = None
+    data: LabeledDataset, grid: GridSpec, w=None, masses: np.ndarray | None = None, thresholds=None
 ):
     """Minimize the weighted 0-1 error over regions x thresholds x signs.
 
-    The errors fill one (sign, region, threshold) array, sign +1 first and
-    thresholds ascending; its first minimum is the result, so ties break to
-    sign +1, then the lower region index, then the lower threshold.
+    masses (the grid's mass matrix over data) and per-region thresholds
+    (rows) are derived when None.  The errors fill one (sign, region,
+    threshold) array, sign +1 first and thresholds ascending; its first
+    minimum is the result, so ties break to sign +1, then the lower region
+    index, then the lower threshold.
 
-    Returns (WeakClassifier, error).
+    Returns (WeakClassifier, error, its region's masses over data).
     """
     n = len(data)
     w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
     y = data.labels
     if masses is None:
         masses = mass_matrix(data.measures, grid.regions)
-    if grid.thresholds is None:
-        thr = default_thresholds(masses)
-    else:
-        thr = np.asarray(grid.thresholds, dtype=float)
-        thr = np.broadcast_to(thr, (len(grid.regions), len(thr)))
+    if thresholds is None:
+        thresholds = default_thresholds(masses) if grid.thresholds is None else grid.thresholds
+    thr = np.asarray(thresholds, dtype=float)
+    thr = np.broadcast_to(thr, (len(grid.regions), thr.shape[-1]))
     pos, neg = (y == 0) * w, (y == 1) * w  # loss of predicting 1, of predicting 0
     errs = np.empty((2,) + thr.shape)
     step = max(1, _CELLS // (thr.shape[1] * n))  # regions per block of temporaries
@@ -146,7 +147,7 @@ def exhaustive_search(
         errs[0, rows] = np.where(m > t, pos, neg).sum(axis=2)
         errs[1, rows] = np.where(m < t, pos, neg).sum(axis=2)
     s, a, t = np.unravel_index(np.argmin(errs), errs.shape)
-    return WeakClassifier(grid.regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t])
+    return WeakClassifier(grid.regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t]), masses[a]
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
@@ -167,7 +168,9 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
     centers = np.array(centers)
     dim = points.shape[1]
     for _ in range(_KMEANS_ITERS):
-        assign = np.argmin(np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1), axis=1)
+        # one coordinate at a time, added in np.sum's order: no (n, k, dim) array
+        d2 = sum((x[:, None] - c) ** 2 for x, c in zip(points.T, centers.T))
+        assign = np.argmin(d2, axis=1)
         # per-cluster sums in index order, like mean(axis=0) over the members
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()
         sums = np.bincount(cells, points.ravel(), centers.size).reshape(centers.shape)

@@ -23,7 +23,7 @@ def unit(points):
 
 
 def grid_learner(grid):
-    def learner(data, w):
+    def learner(data, w, cols=None):
         return exhaustive_search(data, grid, w)
 
     return learner
@@ -95,7 +95,7 @@ def test_boosting_beats_single_weak_on_xor():
     radii = [1.0]
     grid = GridSpec.balls(centers, radii)
     learner = grid_learner(grid)
-    h, single_err = learner(data, np.full(len(data), 1 / len(data)))
+    h, single_err, _ = learner(data, np.full(len(data), 1 / len(data)))
     ens = adaboost_fit(data, rounds=10, learner=learner)
     boosted_err = staged_training_error(ens, data)[-1]
     assert boosted_err <= single_err + 1e-12

@@ -242,6 +242,19 @@ def test_labels_are_required_to_train_and_evaluate_only(tmp_path, capsys):
     assert [json.loads(line)["cloud"] for line in preds.read_text().splitlines()] == [0, 1]
 
 
+@pytest.mark.parametrize("dims, cause", [("1", "sit on k-means centers"), ("2", "no training measure has a support point")])
+def test_degenerate_training_set_names_the_cause(tmp_path, capsys, dims, cause):
+    # four clouds with the one H1 pair (0.5, 1.5): at --dims 1 every support
+    # point is the same point, so every radius is 0; at --dims 2 there is none
+    dgms = tmp_path / "dg.jsonl"
+    dgms.write_text("".join(
+        json.dumps({"dim": 1, "pairs": [[0.5, 1.5]], "cloud": i, "label": i % 2}) + "\n" for i in range(4)
+    ))
+    argv = ["train", "--input", str(dgms), "--out", str(tmp_path / "m.json"), "--dims", dims, "--truncation", "0.1"]
+    assert run(argv) == 5
+    assert cause in capsys.readouterr().err
+
+
 def test_bad_model_json_is_io_error(tmp_path):
     model = tmp_path / "model.json"
     model.write_text("{not json")

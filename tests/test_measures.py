@@ -237,6 +237,61 @@ def test_mass_matrix_matches_reference_weighted(case):
     np.testing.assert_allclose(mass_matrix(measures, regions), _reference_masses(measures, regions), rtol=1e-12, atol=1e-12)
 
 
+def _region_loop_masses(measures, regions):
+    """Reference: one `contains_many` test and one `np.bincount` per region."""
+    masses = np.zeros((len(regions), len(measures)))
+    filled = [mu for mu in measures if len(mu)]
+    if filled:
+        points = np.vstack([mu.points for mu in filled])
+        weights = np.concatenate([mu.weights for mu in filled])
+        owner = np.repeat(np.arange(len(measures)), [len(mu) for mu in measures])
+        for a, region in enumerate(regions):
+            inside = region.contains_many(points)
+            masses[a] = np.bincount(owner[inside], weights=weights[inside], minlength=len(measures))
+    return masses
+
+
+@st.composite
+def _grid_case(draw):
+    # ball-grid region lists: runs of radii on one center, centers that come
+    # back after other regions, boxes in between, sometimes a ball of the
+    # wrong dimension; on quarter-grid points and radii, distances and
+    # squared radii are exact, so many points sit exactly on a radius
+    d = draw(st.integers(1, 3))
+    point = st.lists(_quarter, min_size=d, max_size=d)
+    measures = []
+    for _ in range(draw(st.integers(0, 5))):
+        pts = np.array(draw(st.lists(point, max_size=8)), dtype=float).reshape(-1, d)
+        weights = draw(st.none() | st.lists(st.floats(0.0, 10.0), min_size=len(pts), max_size=len(pts)))
+        measures.append(Measure(pts, weights))
+    centers = draw(st.lists(point, min_size=1, max_size=3))
+    regions = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["balls", "balls", "rect", "mismatch"]))
+        if kind == "balls":
+            c = np.array(draw(st.sampled_from(centers)))
+            regions += [Ball(c, k / 4) for k in draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))]
+        elif kind == "rect":
+            lo = np.array(draw(point))
+            regions.append(AxisRect(lo, lo + np.array(draw(st.lists(st.integers(0, 8), min_size=d, max_size=d))) / 4))
+        else:
+            regions.append(Ball(np.zeros(d + 1), 1.0))
+    return measures, regions
+
+
+@given(_grid_case())
+@settings(max_examples=200, deadline=None)
+def test_mass_matrix_per_center_matches_region_loop(case):
+    measures, regions = case
+    try:
+        want = _region_loop_masses(measures, regions)
+    except ValueError:  # a ball of the wrong dimension, with points to test
+        with pytest.raises(ValueError):
+            mass_matrix(measures, regions)
+        return
+    np.testing.assert_array_equal(mass_matrix(measures, regions), want)
+
+
 def test_mass_matrix_boundary_empty_and_half_open():
     measures = [
         unit_measure([[1.0, 0.0], [0.0, -1.0], [2.0, 2.0]]),  # two on the unit circle

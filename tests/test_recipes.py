@@ -130,18 +130,18 @@ def test_build_ball_grid_shapes():
 
 
 def test_cached_learner_matches_uncached():
-    from measureboost.weak import exhaustive_search
-
     rng = np.random.default_rng(2)
     ms = tuple(Measure(rng.uniform(size=(5, 2))) for _ in range(10))
     data = LabeledDataset(ms, rng.integers(0, 2, size=10))
     grid = GridSpec.balls([np.full(2, 0.5)], [0.3, 0.6])
     learner = make_cached_learner(grid, data)
-    w = np.full(10, 0.1)
-    h1, e1 = learner(data, w)
-    h2, e2 = exhaustive_search(data, grid, w)
-    assert e1 == e2
-    assert h1.to_json() == h2.to_json()
+    cols = np.array([1, 4, 5, 8])
+    for sub, w, kw in ((data, np.full(10, 0.1), {}), (data.subset(cols), rng.dirichlet(np.ones(4)), {"cols": cols})):
+        h1, e1, row1 = learner(sub, w, **kw)
+        h2, e2, row2 = exhaustive_search(sub, grid, w)
+        assert e1 == e2
+        assert h1.to_json() == h2.to_json()
+        np.testing.assert_array_equal(row1, row2)
 
 
 def _three_class_train():
@@ -178,13 +178,30 @@ def test_fit_classifier_one_mass_matrix_for_every_pair(monkeypatch):
         assert ens.to_json() == expected.to_json()
 
 
-def test_cached_learner_rejects_a_measure_not_in_train():
-    train = _three_class_train()
-    learner = make_cached_learner(GridSpec.balls([np.zeros(2)], [1.0]), train)
-    twin = Measure(train.measures[0].points)  # equal values, another object
-    data = LabeledDataset((twin,) + train.measures[1:2], np.array([0, 1]))
-    with pytest.raises(ValueError):
-        learner(data, np.full(2, 0.5))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_fit_classifier_rounds_read_the_one_grid_matrix(monkeypatch, seed, n_classes):
+    # one grid mass matrix per fit and no per-round predict, yet the same
+    # model as boosting a plain uncached search on the same grid
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=30)
+    ms = tuple(Measure(rng.normal(loc=0.6 * y, size=(int(rng.integers(0, 8)), 2))) for y in labels)
+    train = LabeledDataset(ms, labels)
+    grids, matrices, predicts = [], [], []
+    build = recipes.build_ball_grid
+    monkeypatch.setattr(recipes, "build_ball_grid", lambda *a: grids.append(build(*a)) or grids[-1])
+    plain = measures.mass_matrix
+    for module in (measures, weak, boosting, limits, recipes):
+        monkeypatch.setattr(module, "mass_matrix", lambda m, r: matrices.append(len(r)) or plain(m, r))
+    predict = weak.WeakClassifier.predict
+    monkeypatch.setattr(weak.WeakClassifier, "predict", lambda h, m: predicts.append(h) or predict(h, m))
+    model = fit_classifier(train, n_centers=5, radius_quantiles=(0.1, 0.4, 0.8), rounds=6, seed=seed)
+    monkeypatch.undo()
+    (grid,) = grids
+    assert matrices == [len(grid.regions)] and predicts == []
+    fit = boosting.one_vs_one_fit if n_classes > 2 else adaboost_fit
+    expected = fit(train, 6, lambda d, w, cols=None: exhaustive_search(d, grid, w))
+    assert model.to_json() == expected.to_json()
 
 
 def test_thin_cloud_cap():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from measureboost.datagen import orbit
 from measureboost.measures import LabeledDataset, Measure
 from measureboost.regions import Ball
 from measureboost import weak
@@ -49,7 +50,7 @@ def test_predict_strict_threshold():
 def test_exhaustive_separable_toy():
     data = separable_toy()
     grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    h, err = exhaustive_search(data, grid)
+    h, err, _ = exhaustive_search(data, grid)
     assert err == 0.0
     assert weighted_error(h, data) == 0.0
 
@@ -60,8 +61,8 @@ def test_exhaustive_orientation_symmetry():
     grid = GridSpec.balls(
         [np.array([0.0, 0.0]), np.array([1.0, 1.0])], [0.5, 1.0, 2.0]
     )
-    _, e1 = exhaustive_search(data, grid)
-    _, e2 = exhaustive_search(flipped, grid)
+    _, e1, _ = exhaustive_search(data, grid)
+    _, e2, _ = exhaustive_search(flipped, grid)
     assert e1 == pytest.approx(e2)
 
 
@@ -72,7 +73,7 @@ def test_exhaustive_matches_bruteforce():
     radii = [0.5, 1.0, 1.5]
     thresholds = (0.5, 1.5, 2.5)
     grid = GridSpec.balls(centers, radii, thresholds=thresholds)
-    h, err = exhaustive_search(data, grid)
+    h, err, _ = exhaustive_search(data, grid)
     best = min(
         weighted_error(WeakClassifier(A, t, s), data)
         for A in grid.regions
@@ -89,7 +90,7 @@ def test_exhaustive_reported_error_is_true_error():
     for seed in range(5):
         data = random_dataset(seed, n=16, pts=3)
         grid = GridSpec.balls([np.array([0.5, 0.5])], [0.7, 1.2])
-        h, err = exhaustive_search(data, grid)
+        h, err, _ = exhaustive_search(data, grid)
         assert err == pytest.approx(weighted_error(h, data))
 
 
@@ -99,7 +100,7 @@ def test_exhaustive_weighted():
     w = np.zeros(n)
     w[0] = 1.0  # all weight on one example
     grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    _, err = exhaustive_search(data, grid, w=w)
+    _, err, _ = exhaustive_search(data, grid, w=w)
     assert err == 0.0
     with pytest.raises(ValueError):
         exhaustive_search(data, grid, w=np.full(n, 1.0))  # does not sum to 1
@@ -149,9 +150,11 @@ def test_exhaustive_search_matches_region_loop(seed, cells):
     want, want_err = _loop_search(data, grid, w, masses)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weak, "_CELLS", cells)
-        got, got_err = exhaustive_search(data, grid, w, masses=masses)
+        got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses)
     assert got.region is want.region
     assert (got.threshold, got.sign, got_err) == (want.threshold, want.sign, want_err)
+    a = next(a for a, region in enumerate(grid.regions) if region is want.region)
+    np.testing.assert_array_equal(got_row, masses[a])
 
 
 def test_grid_rejects_empty_thresholds():
@@ -222,6 +225,21 @@ def test_kmeans_matches_center_loop(seed, dim):
     pts = np.round(pts) if rng.random() < 0.3 else pts * 10 ** rng.uniform(-3, 3)
     k = int(rng.integers(1, min(n, 10) + 1))
     np.testing.assert_array_equal(kmeans_centers(pts, k, seed), _loop_kmeans(pts, k, seed))
+
+
+def test_kmeans_matches_center_loop_at_recipe_scale():
+    # the orbit recipe's clustering input: 3-D feature points (orbit clouds
+    # on one tag plane, rotated diagram points on two others), k = 60, with
+    # a block of repeated points
+    rng = np.random.default_rng(5)
+    raw = np.vstack([orbit(rho, 300, s) for s, rho in enumerate((2.5, 3.5, 4.0, 4.1, 4.3) * 2)])
+    dgm = rng.exponential(0.3, size=(900, 2))
+    pts = np.vstack([
+        np.column_stack([raw, np.full(len(raw), 20.0)]),
+        np.column_stack([dgm, 10.0 * rng.integers(0, 2, size=len(dgm))]),
+    ])
+    pts = np.vstack([pts, pts[::7]])
+    np.testing.assert_array_equal(kmeans_centers(pts, 60, seed=7), _loop_kmeans(pts, 60, 7))
 
 
 def test_kmeans_coincident_points():
