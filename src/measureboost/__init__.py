@@ -2,14 +2,7 @@
 region-mass threshold classifiers, with an in-repo persistent homology
 engine and estimators for the associated complexity and limit theorems."""
 
-from .measures import (
-    Measure,
-    LabeledDataset,
-    total_mass,
-    integrate,
-    mass_in_region,
-    mbar_p,
-)
-from .regions import Ball, AxisRect, contains
+from .measures import Measure, LabeledDataset
+from .regions import Ball
 
 __version__ = "0.1.0"

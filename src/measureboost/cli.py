@@ -15,7 +15,6 @@ import numpy as np
 
 from . import datagen
 from .boosting import Ensemble, OneVsOneModel
-from .graphs import save_graph_json
 from .measures import LabeledDataset, load_dataset_jsonl, require_fields, save_dataset_jsonl, Measure
 from .metrics import evaluate
 from .ph import cech_filtration, persistence, rips_filtration
@@ -26,15 +25,6 @@ from .recipes import RECIPES, ConfigError, classifier_predict, diagrams_to_featu
 
 def _gen(args) -> int:
     kind = args.generator
-    if kind in ("er-graph", "ring-of-cliques"):
-        from .recipes import _random_graph, _ring_of_cliques
-
-        if kind == "er-graph":
-            g = _random_graph(args.n_points, args.edge_prob, args.seed)
-        else:
-            g = _ring_of_cliques(args.n_cliques, args.clique_size)
-        save_graph_json(g, args.out)
-        return 0
     measures, labels = [], []
     for j in range(args.count):
         s = args.seed + 13 * j
@@ -46,10 +36,8 @@ def _gen(args) -> int:
             pts = datagen.sample_ppp_disk(args.mean_count, args.radius, s)
         elif kind == "ginibre":
             pts = datagen.sample_ginibre(args.mean_count, s, args.radius)
-        elif kind == "orbit":
+        else:  # orbit
             pts = datagen.orbit(args.rho, args.n_points, s)
-        else:
-            raise ValueError(f"unknown generator {kind!r}")
         if args.noise > 0:
             pts = datagen.add_gaussian_noise(pts, args.noise, s + 1)
         measures.append(Measure(pts))
@@ -160,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="measureboost")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate synthetic point clouds or graphs")
-    g.add_argument("--generator", required=True,
-                   choices=["torus", "sphere", "ppp", "ginibre", "orbit", "er-graph", "ring-of-cliques"])
+    g = sub.add_parser("gen", help="generate synthetic point clouds")
+    g.add_argument("--generator", required=True, choices=["torus", "sphere", "ppp", "ginibre", "orbit"])
     g.add_argument("--out", required=True)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--n-points", type=int, default=100)
@@ -174,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--radius", type=float, default=1.0)
     g.add_argument("--mean-count", type=int, default=30)
     g.add_argument("--rho", type=float, default=4.1)
-    g.add_argument("--edge-prob", type=float, default=0.25)
-    g.add_argument("--n-cliques", type=int, default=5)
-    g.add_argument("--clique-size", type=int, default=4)
     g.set_defaults(func=_gen)
 
     h = sub.add_parser("ph", help="persistence diagrams of a point-cloud dataset")

@@ -10,7 +10,6 @@ package: the graph is a lower-star filtered complex of vertices and edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ __all__ = [
     "normalized_laplacian",
     "graph_hks",
     "graph_sublevel_diagrams",
-    "save_graph_json",
-    "load_graph_json",
 ]
 
 
@@ -90,14 +87,3 @@ def graph_sublevel_diagrams(g: Graph, values) -> tuple:
     simplices.sort(key=_sort_key)
     fc = FilteredComplex(tuple(simplices), max_dim=2)  # D0 and D1; no triangles
     return tuple(persistence(fc, include_zero_length=True))
-
-
-def save_graph_json(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"n": g.n, "edges": [list(e) for e in g.edges]}, fh)
-
-
-def load_graph_json(path) -> Graph:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return Graph(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))

@@ -1,30 +1,23 @@
 """Finite weighted point sets ("measures") and the mass primitives built on them.
 
 A measure here is a finite set of support points in R^d together with
-nonnegative weights.  The mass of a region is the sum of the weights of the
+nonnegative weights.  The mass of a ball is the sum of the weights of the
 support points it contains; bags of points (multi-instance data) are the
 special case of all-ones weights.  No implicit normalization is ever applied:
-thresholds and the p-mean mass statistic depend on raw mass.
+thresholds depend on raw mass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .regions import Ball
 
 __all__ = [
     "Measure",
     "LabeledDataset",
-    "total_mass",
-    "integrate",
-    "mass_in_region",
     "mass_matrix",
-    "mbar_p",
     "load_dataset_jsonl",
     "save_dataset_jsonl",
     "require_fields",
@@ -110,33 +103,15 @@ class LabeledDataset:
         )
 
 
-def total_mass(mu: Measure) -> float:
-    """Total mass of the measure; 0.0 for an empty measure."""
-    return float(mu.weights.sum())
+def mass_matrix(measures, balls) -> np.ndarray:
+    """masses[a, i] = mass that measure i puts inside closed ball a.
 
-
-def integrate(mu: Measure, f: Callable[[np.ndarray], float]) -> float:
-    """Integral of f against mu: sum of weight_i * f(point_i).
-
-    Raises ValueError if f is non-finite on any support point.
-    """
-    if len(mu) == 0:
-        return 0.0
-    vals = np.array([f(x) for x in mu.points], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand is non-finite on a support point")
-    return float(mu.weights @ vals)
-
-
-def mass_matrix(measures, regions) -> np.ndarray:
-    """masses[a, i] = mass that measure i puts inside closed region a.
-
-    The supports are stacked once and each region tests all of them at once
+    The supports are stacked once and each ball tests all of them at once
     (checking the dimension); consecutive balls on one center share one
     `Ball.sq_distances` pass.  Per-measure sums come from one `np.bincount`.
-    An empty measure has mass 0 in every region.
+    An empty measure has mass 0 in every ball.
     """
-    masses = np.zeros((len(regions), len(measures)))
+    masses = np.zeros((len(balls), len(measures)))
     filled = [mu for mu in measures if len(mu)]
     if not filled:
         return masses
@@ -144,27 +119,12 @@ def mass_matrix(measures, regions) -> np.ndarray:
     weights = np.concatenate([mu.weights for mu in filled])
     owner = np.repeat(np.arange(len(measures)), [len(mu) for mu in measures])
     center = None
-    for a, region in enumerate(regions):
-        if isinstance(region, Ball) and not np.array_equal(region.center, center):
-            center, d2 = region.center, region.sq_distances(points)
-        inside = d2 <= region.radius**2 if isinstance(region, Ball) else region.contains_many(points)
+    for a, ball in enumerate(balls):
+        if not np.array_equal(ball.center, center):
+            center, d2 = ball.center, ball.sq_distances(points)
+        inside = d2 <= ball.radius**2
         masses[a] = np.bincount(owner[inside], weights=weights[inside], minlength=len(measures))
     return masses
-
-
-def mass_in_region(mu: Measure, region) -> float:
-    """Mass that mu puts inside a closed region (boundary points count)."""
-    return float(mass_matrix((mu,), (region,))[0, 0])
-
-
-def mbar_p(data: LabeledDataset, p: float) -> float:
-    """p-mean of the total masses: (sum_i M_i^p / N)^(1/p)."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    masses = np.array([total_mass(m) for m in data.measures])
-    return float(np.mean(masses**p) ** (1.0 / p))
 
 
 # --- JSON Lines dataset format -------------------------------------------

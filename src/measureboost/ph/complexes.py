@@ -50,18 +50,6 @@ class FilteredComplex:
             groups[len(verts) - 1].append((verts, value))
         return groups
 
-    def check_monotone(self) -> None:
-        """Assert every face has value <= its coface (raises on violation)."""
-        values = {verts: value for verts, value in self.simplices}
-        for verts, value in self.simplices:
-            if len(verts) == 1:
-                continue
-            for face in itertools.combinations(verts, len(verts) - 1):
-                if values[face] > value + 1e-12:
-                    raise AssertionError(
-                        f"face {face} ({values[face]}) above simplex {verts} ({value})"
-                    )
-
     def __len__(self) -> int:
         return len(self.simplices)
 
@@ -296,6 +284,8 @@ def _cofaces(points, faces, values, up, max_value, value_fn, cells):
 
 
 def _build_filtration(points, max_dim, max_value, value_fn):
+    if not 0 <= max_dim <= 3:
+        raise ValueError(f"max_dim must be between 0 and 3, got {max_dim}")
     points = _as_cloud(points)
     n, d = points.shape
     simplices = [((i,), 0.0) for i in range(n)]
@@ -338,8 +328,6 @@ def _as_cloud(points) -> np.ndarray:
 
 def cech_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
     """Cech filtration: simplex value = minimal enclosing ball radius."""
-    if max_dim > 3:
-        raise ValueError("max_dim above 3 is not supported")
     return _build_filtration(points, max_dim, max_value, _cech_value)
 
 
@@ -349,6 +337,4 @@ def rips_filtration(points, max_dim: int, max_value: float) -> FilteredComplex:
     A flag simplex's half-diameter is the maximum of its facets' values, so
     no value function is needed above the edges.
     """
-    if max_dim > 3:
-        raise ValueError("max_dim above 3 is not supported")
     return _build_filtration(points, max_dim, max_value, None)

@@ -21,9 +21,13 @@ __all__ = [
 
 
 def _as_pairs(pairs) -> np.ndarray:
+    """(n, 2) float pairs with finite births, each at most its death; so a
+    death is finite or +inf, never NaN or -inf."""
     p = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    if np.any(p[:, 0] > p[:, 1]):
-        raise ValueError("birth must not exceed death")
+    if not np.all(np.isfinite(p[:, 0])):
+        raise ValueError("births must be finite")
+    if not np.all(p[:, 0] <= p[:, 1]):
+        raise ValueError("birth must not exceed death, and a death must not be NaN")
     return p
 
 

@@ -35,8 +35,7 @@ from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
-from .regions import Ball
-from .weak import GridSpec, default_thresholds, exhaustive_search, kmeans_centers
+from .weak import ball_grid, default_thresholds, exhaustive_search, kmeans_centers
 
 __all__ = ["ConfigError", "RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
@@ -149,7 +148,7 @@ def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=
     return Measure(np.vstack(feats) if feats else np.zeros((0, d)))
 
 
-def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) -> GridSpec:
+def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) -> tuple:
     """Candidate balls: k-means centers of the pooled training support,
     radii at fixed quantiles of the center-to-point distances."""
     supports = [m.points for m in train.measures if len(m)]
@@ -164,20 +163,20 @@ def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) ->
     radii = radii[radii > 0]
     if not len(radii):
         raise ValueError("every ball radius is 0: the training support points all sit on k-means centers")
-    return GridSpec.balls(centers, radii)
+    return ball_grid(centers, radii)
 
 
-def make_cached_learner(grid: GridSpec, train: LabeledDataset):
+def make_cached_learner(grid, train: LabeledDataset):
     """Exhaustive-search learner over train's one mass matrix on the grid,
     called as learner(data, w, cols=None) with cols data's positions in train
     (None: all of train).  Masses and thresholds do not change between
     rounds, so a fit's are taken once, when it starts."""
-    masses = mass_matrix(train.measures, grid.regions)
+    masses = mass_matrix(train.measures, grid)
 
     @lru_cache(maxsize=1)  # the fit in progress
     def columns(cols):
         sub = masses if cols is None else masses[:, list(cols)]
-        return sub, default_thresholds(sub) if grid.thresholds is None else None
+        return sub, default_thresholds(sub)
 
     def learner(data, w, cols=None):
         return exhaustive_search(data, grid, w, *columns(None if cols is None else tuple(cols)))
@@ -205,17 +204,14 @@ def classifier_predict(model, measures) -> np.ndarray:
 
 
 def emit_rectangle_trace(ensemble, path) -> None:
-    """One CSV row per boosting stage with its region geometry."""
+    """One CSV row per boosting stage with its ball; the mins and maxs
+    columns of the file's layout stay empty."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["stage", "alpha", "sign", "kind", "center", "radius", "mins", "maxs", "threshold"])
         for i, (h, alpha) in enumerate(ensemble.stages):
             A = h.region
-            if isinstance(A, Ball):
-                row = [i, repr(alpha), h.sign, "ball", json.dumps(A.center.tolist()), repr(A.radius), "", "", repr(h.threshold)]
-            else:
-                row = [i, repr(alpha), h.sign, "rect", "", "", json.dumps(A.mins.tolist()), json.dumps(A.maxs.tolist()), repr(h.threshold)]
-            wr.writerow(row)
+            wr.writerow([i, repr(alpha), h.sign, "ball", json.dumps(A.center.tolist()), repr(A.radius), "", "", repr(h.threshold)])
 
 
 def _save_cloud_diagrams(per_cloud, labels, path):
@@ -580,7 +576,7 @@ def run_rademacher_scaling(cfg: RunConfig, workers=1):
     side = cfg["learner"]["grid_side"]
     xs = (np.arange(side) + 0.5) / side
     centers = [(x, y) for x in xs for y in xs]
-    regions = [Ball(np.array(c), r) for c in centers for r in cfg["learner"]["radii"]]
+    regions = ball_grid(centers, cfg["learner"]["radii"])
 
     rows = []
     for i, n in enumerate(cfg["data"]["sizes"]):

@@ -19,7 +19,7 @@ from .regions import Ball, region_from_json, region_to_json
 
 __all__ = [
     "WeakClassifier",
-    "GridSpec",
+    "ball_grid",
     "weighted_error",
     "exhaustive_search",
     "kmeans_centers",
@@ -34,7 +34,7 @@ _CELLS = 1 << 20  # most (region, threshold, measure) cells one search block hol
 
 @dataclass(frozen=True)
 class WeakClassifier:
-    region: object  # Ball | AxisRect
+    region: Ball
     threshold: float
     sign: int  # +1 or -1
 
@@ -64,31 +64,9 @@ class WeakClassifier:
         )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretized search grid: a list of candidate regions plus thresholds.
-
-    thresholds=None derives them per region from the observed masses
-    (mass quantiles 0, 0.1, ..., 1 and their midpoints): only those values
-    can change the empirical loss.
-    """
-
-    regions: tuple
-    thresholds: tuple | None = None
-
-    def __post_init__(self):
-        if len(self.regions) == 0:
-            raise ValueError("grid must contain at least one region")
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if self.thresholds is not None:
-            object.__setattr__(self, "thresholds", tuple(self.thresholds))
-            if len(self.thresholds) == 0:
-                raise ValueError("grid thresholds must not be empty")
-
-    @staticmethod
-    def balls(centers, radii, thresholds=None) -> "GridSpec":
-        regions = [Ball(np.asarray(c), float(r)) for c in centers for r in radii]
-        return GridSpec(tuple(regions), thresholds)
+def ball_grid(centers, radii) -> tuple:
+    """Search grid: one closed ball per (center, radius), centers outermost."""
+    return tuple(Ball(np.asarray(c), float(r)) for c in centers for r in radii)
 
 
 def _check_weights(w, n):
@@ -114,16 +92,14 @@ def default_thresholds(masses: np.ndarray) -> np.ndarray:
     return np.sort(np.hstack([qs, (qs[:, :-1] + qs[:, 1:]) / 2.0]), axis=1)
 
 
-def exhaustive_search(
-    data: LabeledDataset, grid: GridSpec, w=None, masses: np.ndarray | None = None, thresholds=None
-):
+def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray | None = None, thresholds=None):
     """Minimize the weighted 0-1 error over regions x thresholds x signs.
 
-    masses (the grid's mass matrix over data) and per-region thresholds
-    (rows) are derived when None.  The errors fill one (sign, region,
-    threshold) array, sign +1 first and thresholds ascending; its first
+    masses (the regions' mass matrix over data) and thresholds (one row per
+    region, `default_thresholds` of the masses) are derived when None.  The
+    errors fill one (sign, region, threshold) array, sign +1 first; its first
     minimum is the result, so ties break to sign +1, then the lower region
-    index, then the lower threshold.
+    index, then the threshold that comes first in its row.
 
     Returns (WeakClassifier, error, its region's masses over data).
     """
@@ -131,11 +107,8 @@ def exhaustive_search(
     w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
     y = data.labels
     if masses is None:
-        masses = mass_matrix(data.measures, grid.regions)
-    if thresholds is None:
-        thresholds = default_thresholds(masses) if grid.thresholds is None else grid.thresholds
-    thr = np.asarray(thresholds, dtype=float)
-    thr = np.broadcast_to(thr, (len(grid.regions), thr.shape[-1]))
+        masses = mass_matrix(data.measures, regions)
+    thr = default_thresholds(masses) if thresholds is None else np.asarray(thresholds, dtype=float)
     pos, neg = (y == 0) * w, (y == 1) * w  # loss of predicting 1, of predicting 0
     errs = np.empty((2,) + thr.shape)
     step = max(1, _CELLS // (thr.shape[1] * n))  # regions per block of temporaries
@@ -147,7 +120,7 @@ def exhaustive_search(
         errs[0, rows] = np.where(m > t, pos, neg).sum(axis=2)
         errs[1, rows] = np.where(m < t, pos, neg).sum(axis=2)
     s, a, t = np.unravel_index(np.argmin(errs), errs.shape)
-    return WeakClassifier(grid.regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t]), masses[a]
+    return WeakClassifier(regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t]), masses[a]
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
@@ -155,8 +128,8 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("empty input")
-    if k > len(points):
-        raise ValueError("k exceeds the number of points")
+    if not 1 <= k <= len(points):
+        raise ValueError(f"k = {k} must be between 1 and the number of points, {len(points)}")
     rng = np.random.default_rng(seed)
     centers = [points[rng.integers(len(points))]]
     d2 = np.full(len(points), np.inf)

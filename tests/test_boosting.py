@@ -15,16 +15,17 @@ from measureboost.boosting import (
 )
 from measureboost.measures import LabeledDataset, Measure
 from measureboost.regions import Ball, region_to_json
-from measureboost.weak import GridSpec, WeakClassifier, exhaustive_search
+from measureboost.weak import WeakClassifier, ball_grid, exhaustive_search
 
 
 def unit(points):
     return Measure(np.asarray(points, dtype=float))
 
 
-def grid_learner(grid):
+def grid_learner(grid, thresholds=None):
+    # thresholds: one row per region of the grid, or None for the default rows
     def learner(data, w, cols=None):
-        return exhaustive_search(data, grid, w)
+        return exhaustive_search(data, grid, w, thresholds=thresholds)
 
     return learner
 
@@ -61,8 +62,8 @@ def xor_like_data(seed=0):
 
 def test_perfect_learner_stops_after_one_stage():
     data = separable_data()
-    grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    ens = adaboost_fit(data, rounds=10, learner=grid_learner(grid))
+    grid = ball_grid([np.array([0.5, 0.5])], [1.0])
+    ens = adaboost_fit(data, rounds=10, learner=grid_learner(grid, [[0.5]]))
     assert len(ens.stages) == 1
     assert staged_training_error(ens, data)[-1] == 0.0
 
@@ -70,8 +71,8 @@ def test_perfect_learner_stops_after_one_stage():
 def test_constant_labels_give_constant_stage():
     ms = tuple(unit([[0.0, 0.0]]) for _ in range(4))
     data = LabeledDataset(ms, np.ones(4, dtype=int))
-    grid = GridSpec.balls([np.zeros(2)], [1.0], thresholds=(0.5,))
-    ens = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
+    grid = ball_grid([np.zeros(2)], [1.0])
+    ens = adaboost_fit(data, rounds=5, learner=grid_learner(grid, [[0.5]]))
     assert len(ens.stages) == 1
     assert ensemble_predict(ens, ms).tolist() == [1, 1, 1, 1]
 
@@ -81,7 +82,7 @@ def test_useless_first_round_is_kept_with_negative_alpha():
     # miss the three 1-labels, so round 0's error is 0.75
     ms = tuple(Measure(np.zeros((0, 2))) for _ in range(4))
     data = LabeledDataset(ms, np.array([0, 1, 1, 1]))
-    grid = GridSpec.balls([np.zeros(2)], [1.0])
+    grid = ball_grid([np.zeros(2)], [1.0])
     ens = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
     assert len(ens.stages) == 1
     assert ens.stages[0][1] == pytest.approx(0.5 * np.log(0.25 / 0.75))
@@ -93,7 +94,7 @@ def test_boosting_beats_single_weak_on_xor():
     data = xor_like_data()
     centers = [np.zeros(2), np.array([5.0, 5.0])]
     radii = [1.0]
-    grid = GridSpec.balls(centers, radii)
+    grid = ball_grid(centers, radii)
     learner = grid_learner(grid)
     h, single_err, _ = learner(data, np.full(len(data), 1 / len(data)))
     ens = adaboost_fit(data, rounds=10, learner=learner)
@@ -104,7 +105,7 @@ def test_boosting_beats_single_weak_on_xor():
 def test_training_error_never_above_stage_one():
     for seed in range(3):
         data = xor_like_data(seed)
-        grid = GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])
+        grid = ball_grid([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])
         ens = adaboost_fit(data, rounds=8, learner=grid_learner(grid))
         errs = staged_training_error(ens, data)
         assert errs[-1] <= errs[0] + 1e-12
@@ -112,8 +113,8 @@ def test_training_error_never_above_stage_one():
 
 def test_alphas_finite_and_capped():
     data = separable_data()
-    grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    ens = adaboost_fit(data, rounds=3, learner=grid_learner(grid))
+    grid = ball_grid([np.array([0.5, 0.5])], [1.0])
+    ens = adaboost_fit(data, rounds=3, learner=grid_learner(grid, [[0.5]]))
     for _, alpha in ens.stages:
         assert np.isfinite(alpha)
         assert alpha <= 0.5 * np.log((1 - 1e-10) / 1e-10) + 1e-9
@@ -128,7 +129,7 @@ def test_tie_score_resolves_to_first_label():
 
 def test_ensemble_json_roundtrip():
     data = separable_data()
-    grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0, 2.0])
+    grid = ball_grid([np.array([0.5, 0.5])], [1.0, 2.0])
     ens = adaboost_fit(data, rounds=4, learner=grid_learner(grid))
     back = Ensemble.from_json(ens.to_json())
     assert back.labels == ens.labels
@@ -149,7 +150,7 @@ def three_class_data():
 
 def test_one_vs_one_multiclass():
     data = three_class_data()
-    grid = GridSpec.balls(
+    grid = ball_grid(
         [np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0]
     )
     model = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
@@ -165,7 +166,7 @@ def _reference_vote(ens, mu):
 
 def test_one_vs_one_predict_is_one_mass_matrix_pass(monkeypatch):
     data = three_class_data()
-    grid = GridSpec.balls([np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0, 3.0])
+    grid = ball_grid([np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0, 3.0])
     fitted = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
     # every class wins one pair, (0, 1) by an exact zero score, so every
     # measure is a three-way tie that goes to class 0
@@ -198,7 +199,7 @@ def test_one_vs_one_predict_is_one_mass_matrix_pass(monkeypatch):
 def test_ensemble_predict_matches_per_measure_votes():
     for seed in range(3):
         data = xor_like_data(seed)
-        ens = adaboost_fit(data, rounds=8, learner=grid_learner(GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])))
+        ens = adaboost_fit(data, rounds=8, learner=grid_learner(ball_grid([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])))
         assert ensemble_predict(ens, data.measures).tolist() == [_reference_vote(ens, mu) for mu in data.measures]
         errors = staged_training_error(ens, data)
         assert errors[-1] == np.mean(ensemble_predict(ens, data.measures) != data.labels)
@@ -206,7 +207,7 @@ def test_ensemble_predict_matches_per_measure_votes():
 
 def test_one_vs_one_json_roundtrip():
     data = three_class_data()
-    grid = GridSpec.balls([np.zeros(2), np.array([5.0, 0.0])], [1.0])
+    grid = ball_grid([np.zeros(2), np.array([5.0, 0.0])], [1.0])
     model = one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
     back = OneVsOneModel.from_json(model.to_json())
     np.testing.assert_array_equal(one_vs_one_predict(back, data.measures), one_vs_one_predict(model, data.measures))
@@ -215,14 +216,14 @@ def test_one_vs_one_json_roundtrip():
 def test_one_vs_one_needs_two_classes():
     ms = tuple(unit([[0.0, 0.0]]) for _ in range(3))
     data = LabeledDataset(ms, np.zeros(3, dtype=int))
-    grid = GridSpec.balls([np.zeros(2)], [1.0])
+    grid = ball_grid([np.zeros(2)], [1.0])
     with pytest.raises(ValueError):
         one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
 
 
 def test_fit_is_deterministic():
     data = xor_like_data(9)
-    grid = GridSpec.balls([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])
+    grid = ball_grid([np.zeros(2), np.array([5.0, 5.0])], [1.0, 2.0])
     e1 = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
     e2 = adaboost_fit(data, rounds=5, learner=grid_learner(grid))
     assert e1.to_json() == e2.to_json()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from measureboost.cli import main
-from measureboost.graphs import load_graph_json
 from measureboost.measures import LabeledDataset, Measure, load_dataset_jsonl, save_dataset_jsonl
 from measureboost.ph.diagrams import load_diagrams_jsonl
 
@@ -27,14 +26,6 @@ def test_gen_dataset(tmp_path):
     np.testing.assert_allclose(
         np.linalg.norm(data.measures[0].points, axis=1), 2.0, atol=1e-9
     )
-
-
-def test_gen_graph(tmp_path):
-    out = tmp_path / "g.json"
-    assert run(["gen", "--generator", "ring-of-cliques", "--out", str(out),
-                "--n-cliques", "3", "--clique-size", "3"]) == 0
-    g = load_graph_json(out)
-    assert g.n == 9
 
 
 def test_full_pipeline_train_predict_eval(tmp_path, capsys):
@@ -206,8 +197,14 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field)
         ("bottleneck", ['{"dim": 1, "pairs": [[1, 0]]}'], 1, "pairs"),
         ("ph", ['{"points": [[0, 1]], "label": 0}', '{"points": [], "label": 0}',
                 '{"points": [[0, 1, 2]], "label": 0}'], 3, "points"),
+        ("bottleneck", ['{"dim": 1, "pairs": [[0.1, 0.4]]}', '{"dim": 1, "pairs": [[NaN, 1.0], [0.2, 0.5]]}'], 2, "pairs"),
+        ("bottleneck", ['{"dim": 1, "pairs": [[-Infinity, 1.0]]}'], 1, "pairs"),
+        ("bottleneck", ['{"dim": 1, "pairs": [[0.2, NaN]]}'], 1, "pairs"),
+        ("train", ['{"dim": 1, "pairs": [[0.1, 0.4]], "cloud": 0, "label": 0}',
+                   '{"dim": 1, "pairs": [[NaN, 1.0], [0.2, 0.5]], "cloud": 1, "label": 1}'], 2, "pairs"),
     ],
-    ids=["weights-string", "weights-negative", "weights-length", "birth-after-death", "mixed-dimensions"],
+    ids=["weights-string", "weights-negative", "weights-length", "birth-after-death", "mixed-dimensions",
+         "birth-nan", "birth-minus-inf", "death-nan", "train-birth-nan"],
 )
 def test_malformed_field_names_file_record_and_field(tmp_path, capsys, command, lines, index, field):
     bad = tmp_path / "bad.jsonl"
@@ -215,6 +212,7 @@ def test_malformed_field_names_file_record_and_field(tmp_path, capsys, command, 
     argv = {
         "ph": ["ph", "--input", str(bad), "--output", str(tmp_path / "out.jsonl")],
         "bottleneck": ["bottleneck", str(bad), str(bad)],
+        "train": ["train", "--input", str(bad), "--out", str(tmp_path / "model.json")],
     }[command]
     assert run(argv) == 4
     err = capsys.readouterr().err
@@ -253,6 +251,15 @@ def test_degenerate_training_set_names_the_cause(tmp_path, capsys, dims, cause):
     argv = ["train", "--input", str(dgms), "--out", str(tmp_path / "m.json"), "--dims", dims, "--truncation", "0.1"]
     assert run(argv) == 5
     assert cause in capsys.readouterr().err
+
+
+def test_train_rejects_zero_centers(tmp_path, capsys):
+    _, dgms = _orbit_diagrams(tmp_path)
+    capsys.readouterr()
+    argv = ["train", "--input", str(dgms), "--out", str(tmp_path / "m.json"), "--n-centers", "0", "--dims", "0"]
+    assert run(argv) == 5
+    assert "error: k = 0 must be between 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_bad_model_json_is_io_error(tmp_path):
@@ -302,11 +309,19 @@ def test_ph_cech_builds_400_points_at_inf(tmp_path):
     assert peak < 100e6
 
 
-def test_limit_check_above_degree_2_fails_before_writing(tmp_path):
+def test_limit_check_above_degree_2_fails_before_writing(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[setup]\nk = 3\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
     assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
     assert not (tmp_path / "limit_check.csv").exists()
+    # degree k needs max_dim k + 1; ph takes max_dim directly, in the same range 0..3
+    data, _ = _orbit_diagrams(tmp_path)
+    capsys.readouterr()
+    for max_dim in ("-1", "4"):
+        out = tmp_path / f"dg{max_dim}.jsonl"
+        assert run(["ph", "--input", str(data), "--output", str(out), "--max-dim", max_dim]) == 5
+        assert "error: max_dim must be between 0 and 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("setup, key", [("name = circle\nd = 2", "[setup] d"), ("name = triangle", "[setup] name")])

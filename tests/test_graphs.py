@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from measureboost.graphs import (
-    Graph,
-    graph_hks,
-    graph_sublevel_diagrams,
-    load_graph_json,
-    save_graph_json,
-)
+from measureboost.graphs import Graph, graph_hks, graph_sublevel_diagrams
 
 
 def cycle_graph(n):
@@ -175,10 +169,3 @@ def test_graph_normalizes_edge_order():
     g = Graph(3, ((2, 0),))
     assert g.edges == ((0, 2),)
 
-
-def test_graph_json_roundtrip(tmp_path):
-    g = Graph(5, ((0, 1), (1, 2), (3, 4)))
-    path = tmp_path / "g.json"
-    save_graph_json(g, path)
-    back = load_graph_json(path)
-    assert back.n == g.n and back.edges == g.edges

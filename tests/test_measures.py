@@ -7,116 +7,64 @@ from hypothesis import given, settings, strategies as st
 from measureboost.measures import (
     LabeledDataset,
     Measure,
-    integrate,
     load_dataset_jsonl,
-    mass_in_region,
     mass_matrix,
-    mbar_p,
     save_dataset_jsonl,
-    total_mass,
 )
-from measureboost.regions import AxisRect, Ball
+from measureboost.regions import Ball
 
 
 def unit_measure(points):
     return Measure(np.asarray(points, dtype=float))
 
 
+def covering_ball(mu):
+    """A ball around the whole support: its mass is the total mass."""
+    return Ball(np.zeros(mu.dim), 1.0 + float(np.max(np.linalg.norm(mu.points, axis=1), initial=0.0)))
+
+
 def test_total_mass_unit_weights():
     mu = unit_measure([[0.0], [1.0], [2.0], [3.0]])
-    assert total_mass(mu) == 4.0
+    assert mass_matrix([mu], [covering_ball(mu)])[0, 0] == 4.0
 
 
 def test_total_mass_empty():
-    assert total_mass(Measure(np.zeros((0, 2)))) == 0.0
+    mu = Measure(np.zeros((0, 2)))
+    assert mass_matrix([mu], [covering_ball(mu), Ball(np.zeros(2), 1e9)]).tolist() == [[0.0], [0.0]]
 
 
 def test_total_mass_fractional():
-    mu = Measure(np.zeros((2, 1)), np.array([0.5, 0.25]))
-    assert total_mass(mu) == 0.75
-
-
-def test_integrate_constant_is_total_mass():
-    mu = Measure(np.random.default_rng(0).normal(size=(5, 3)), np.array([1, 2, 3, 4, 5.0]))
-    assert integrate(mu, lambda x: 1.0) == total_mass(mu)
-    assert integrate(mu, lambda x: 0.0) == 0.0
-
-
-def test_integrate_identity_1d():
-    mu = unit_measure([[0.0], [2.0]])
-    assert integrate(mu, lambda x: x[0]) == 2.0
-
-
-def test_integrate_rejects_nonfinite():
-    mu = unit_measure([[0.0]])
-    with pytest.raises(ValueError):
-        integrate(mu, lambda x: float("nan"))
+    mu = Measure(np.array([[0.0], [-2.0]]), np.array([0.5, 0.25]))
+    assert mass_matrix([mu], [covering_ball(mu)])[0, 0] == 0.75
 
 
 def test_mass_in_region_counts():
     mu = unit_measure([[0, 0], [0.5, 0], [0, 0.5], [5, 5]])
     ball = Ball(np.zeros(2), 1.0)
-    assert mass_in_region(mu, ball) == 3.0
+    assert mass_matrix([mu], [ball])[0, 0] == 3.0
+    assert ball.contains_many(mu.points).tolist() == [True, True, True, False]
 
 
 def test_mass_in_region_full_and_empty():
     mu = unit_measure([[0, 0], [1, 1]])
-    assert mass_in_region(mu, Ball(np.array([0.5, 0.5]), 10.0)) == total_mass(mu)
-    assert mass_in_region(mu, Ball(np.array([9.0, 9.0]), 0.5)) == 0.0
+    balls = [Ball(np.array([0.5, 0.5]), 10.0), Ball(np.array([9.0, 9.0]), 0.5)]
+    assert mass_matrix([mu], balls).tolist() == [[2.0], [0.0]]
+    assert [b.contains_many(mu.points).tolist() for b in balls] == [[True, True], [False, False]]
 
 
 def test_mass_in_region_boundary_closed():
-    mu = unit_measure([[1.0, 0.0]])
-    assert mass_in_region(mu, Ball(np.zeros(2), 1.0)) == 1.0
-    assert mass_in_region(mu, AxisRect(np.zeros(2), np.ones(2))) == 1.0
+    mu = Measure(np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]), np.array([1.0, 0.5, 0.25]))
+    ball = Ball(np.zeros(2), 1.0)  # all three points lie exactly on its boundary
+    assert ball.contains_many(mu.points).all()
+    assert mass_matrix([mu], [ball])[0, 0] == 1.75
 
 
 def test_mass_in_region_dim_mismatch():
     mu = unit_measure([[0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        mass_in_region(mu, Ball(np.zeros(2), 1.0))
-
-
-def make_dataset(masses):
-    measures = tuple(Measure(np.zeros((1, 2)), np.array([m])) for m in masses)
-    return LabeledDataset(measures, np.zeros(len(masses), dtype=int))
-
-
-def test_mbar_p_constant():
-    data = make_dataset([2.5, 2.5, 2.5])
-    for p in (1, 2, 7.5):
-        assert mbar_p(data, p) == pytest.approx(2.5)
-
-
-def test_mbar_p_arithmetic():
-    data = make_dataset([3.0, 4.0])
-    assert mbar_p(data, 2) == pytest.approx(np.sqrt(12.5))
-
-
-def test_mbar_p_singleton():
-    assert mbar_p(make_dataset([1.0]), 1) == 1.0
-
-
-@given(st.lists(st.floats(0.01, 10), min_size=2, max_size=6))
-@settings(max_examples=50, deadline=None)
-def test_mbar_p_monotone_in_p(masses):
-    data = make_dataset(masses)
-    vals = [mbar_p(data, p) for p in (1, 2, 4, 8)]
-    for lo, hi in zip(vals, vals[1:]):
-        assert lo <= hi + 1e-9
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_integrate_linearity(seed):
-    rng = np.random.default_rng(seed)
-    mu = Measure(rng.normal(size=(4, 2)), rng.uniform(0, 2, size=4))
-    f = lambda x: x[0] ** 2
-    g = lambda x: np.sin(x[1])
-    a, b = rng.normal(size=2)
-    lhs = integrate(mu, lambda x: a * f(x) + b * g(x))
-    rhs = a * integrate(mu, f) + b * integrate(mu, g)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mass_matrix([mu], [Ball(np.zeros(2), 1.0)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Ball(np.zeros(2), 1.0).contains_many(mu.points)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 2.0), st.floats(0.0, 2.0))
@@ -125,15 +73,16 @@ def test_ball_mass_monotone_in_radius(seed, r, extra):
     rng = np.random.default_rng(seed)
     mu = Measure(rng.normal(size=(6, 2)), rng.uniform(0, 1, size=6))
     c = rng.normal(size=2)
-    assert mass_in_region(mu, Ball(c, r)) <= mass_in_region(mu, Ball(c, r + extra))
+    small, large = mass_matrix([mu], [Ball(c, r), Ball(c, r + extra)])[:, 0]
+    assert small <= large
+    assert np.all(Ball(c, r).contains_many(mu.points) <= Ball(c, r + extra).contains_many(mu.points))
 
 
 def test_mass_equals_indicator_integral():
     rng = np.random.default_rng(3)
     mu = Measure(rng.normal(size=(8, 2)), rng.uniform(0, 1, size=8))
-    A = Ball(np.zeros(2), 1.2)
-    ind = lambda x: 1.0 if np.linalg.norm(x) <= 1.2 else 0.0
-    assert mass_in_region(mu, A) == integrate(mu, ind)
+    ind = np.array([1.0 if np.linalg.norm(x) <= 1.2 else 0.0 for x in mu.points])
+    assert mass_matrix([mu], [Ball(np.zeros(2), 1.2)])[0, 0] == mu.weights @ ind
 
 
 def test_measure_rejects_nonfinite_points():
@@ -180,21 +129,18 @@ def test_dataset_label_set_sorted():
 # --- mass_matrix against a per-point reference -----------------------------
 #
 # Coordinates and radii are multiples of 1/4, so squared distances are exact
-# and many support points sit exactly on a ball boundary or a box face.
+# and many support points sit exactly on a ball boundary.
 
 _quarter = st.integers(-8, 8).map(lambda k: k / 4)
 
 
 def _reference_masses(measures, regions):
     out = np.zeros((len(regions), len(measures)))
-    for a, region in enumerate(regions):
+    for a, ball in enumerate(regions):
+        c = ball.center.tolist()
         for i, mu in enumerate(measures):
             for x, w in zip(mu.points.tolist(), mu.weights.tolist()):
-                if isinstance(region, Ball):
-                    c = region.center.tolist()
-                    inside = sum((xj - cj) ** 2 for xj, cj in zip(x, c)) <= region.radius**2
-                else:
-                    inside = all(lo <= xj <= hi for xj, lo, hi in zip(x, region.mins, region.maxs))
+                inside = sum((xj - cj) ** 2 for xj, cj in zip(x, c)) <= ball.radius**2
                 out[a, i] += w if inside else 0.0
     return out
 
@@ -210,14 +156,7 @@ def _masses_case(draw, unit_weights):
             st.lists(st.floats(0.0, 10.0), min_size=len(pts), max_size=len(pts))
         )
         measures.append(Measure(pts, weights))
-    regions = []
-    for _ in range(draw(st.integers(1, 4))):
-        lo = np.array(draw(point))
-        if draw(st.booleans()):
-            regions.append(Ball(lo, draw(st.integers(0, 12)) / 4))
-        else:
-            ext = draw(st.lists(st.one_of(st.integers(0, 8).map(lambda k: k / 4), st.just(np.inf)), min_size=d, max_size=d))
-            regions.append(AxisRect(lo, lo + np.array(ext)))
+    regions = [Ball(np.array(draw(point)), draw(st.integers(0, 12)) / 4) for _ in range(draw(st.integers(1, 4)))]
     return measures, regions
 
 
@@ -254,8 +193,7 @@ def _region_loop_masses(measures, regions):
 @st.composite
 def _grid_case(draw):
     # ball-grid region lists: runs of radii on one center, centers that come
-    # back after other regions, boxes in between, sometimes a ball of the
-    # wrong dimension; on quarter-grid points and radii, distances and
+    # back after other regions, sometimes a ball of the wrong dimension; on quarter-grid points and radii, distances and
     # squared radii are exact, so many points sit exactly on a radius
     d = draw(st.integers(1, 3))
     point = st.lists(_quarter, min_size=d, max_size=d)
@@ -267,13 +205,9 @@ def _grid_case(draw):
     centers = draw(st.lists(point, min_size=1, max_size=3))
     regions = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["balls", "balls", "rect", "mismatch"]))
-        if kind == "balls":
+        if draw(st.sampled_from(["balls", "balls", "mismatch"])) == "balls":
             c = np.array(draw(st.sampled_from(centers)))
             regions += [Ball(c, k / 4) for k in draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))]
-        elif kind == "rect":
-            lo = np.array(draw(point))
-            regions.append(AxisRect(lo, lo + np.array(draw(st.lists(st.integers(0, 8), min_size=d, max_size=d))) / 4))
         else:
             regions.append(Ball(np.zeros(d + 1), 1.0))
     return measures, regions
@@ -292,13 +226,13 @@ def test_mass_matrix_per_center_matches_region_loop(case):
     np.testing.assert_array_equal(mass_matrix(measures, regions), want)
 
 
-def test_mass_matrix_boundary_empty_and_half_open():
+def test_mass_matrix_boundary_full_and_empty():
     measures = [
         unit_measure([[1.0, 0.0], [0.0, -1.0], [2.0, 2.0]]),  # two on the unit circle
         Measure(np.zeros((0, 2))),
         Measure(np.array([[5.0, 0.0], [0.0, 0.0]]), np.array([0.5, 2.0])),
     ]
-    regions = [Ball(np.zeros(2), 1.0), AxisRect(np.zeros(2), np.array([np.inf, np.inf]))]
-    np.testing.assert_array_equal(mass_matrix(measures, regions), [[2.0, 0.0, 2.0], [2.0, 0.0, 2.5]])
+    regions = [Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 5.0)]  # (5, 0) on the larger circle
+    np.testing.assert_array_equal(mass_matrix(measures, regions), [[2.0, 0.0, 2.0], [3.0, 0.0, 2.5]])
     assert mass_matrix([], regions).shape == (2, 0)
-    assert mass_in_region(measures[0], regions[0]) == 2.0
+    assert mass_matrix(measures, []).shape == (0, 3)

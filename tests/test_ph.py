@@ -48,10 +48,19 @@ def test_two_points_h0():
     assert finite[0][1] == pytest.approx(1.0)  # merge at half the distance
 
 
+def check_monotone(fc):
+    """Assert every face has value <= its coface (raises on violation)."""
+    values = {verts: value for verts, value in fc.simplices}
+    for verts, value in fc.simplices:
+        for face in itertools.combinations(verts, len(verts) - 1):
+            if face and values[face] > value + 1e-12:
+                raise AssertionError(f"face {face} ({values[face]}) above simplex {verts} ({value})")
+
+
 def test_filtration_monotone_and_sorted():
     rng = np.random.default_rng(0)
     fc = cech_filtration(rng.normal(size=(10, 3)), max_dim=3, max_value=1.5)
-    fc.check_monotone()  # raises on a face/value violation
+    check_monotone(fc)  # raises on a face/value violation
     vals = [v for _, v in fc.simplices]
     assert vals == sorted(vals)
 

@@ -24,7 +24,7 @@ from measureboost.recipes import (
     make_cached_learner,
     run_experiment,
 )
-from measureboost.weak import GridSpec, exhaustive_search
+from measureboost.weak import ball_grid, exhaustive_search
 
 
 def test_runconfig_lookup_and_defaults():
@@ -125,15 +125,15 @@ def test_build_ball_grid_shapes():
     ms = tuple(Measure(rng.uniform(size=(10, 2))) for _ in range(6))
     data = LabeledDataset(ms, np.array([0, 1] * 3))
     grid = build_ball_grid(data, n_centers=4, radius_quantiles=(0.1, 0.5), seed=0)
-    assert len(grid.regions) == 8
-    assert all(r.radius > 0 for r in grid.regions)
+    assert len(grid) == 8
+    assert all(r.radius > 0 for r in grid)
 
 
 def test_cached_learner_matches_uncached():
     rng = np.random.default_rng(2)
     ms = tuple(Measure(rng.uniform(size=(5, 2))) for _ in range(10))
     data = LabeledDataset(ms, rng.integers(0, 2, size=10))
-    grid = GridSpec.balls([np.full(2, 0.5)], [0.3, 0.6])
+    grid = ball_grid([np.full(2, 0.5)], [0.3, 0.6])
     learner = make_cached_learner(grid, data)
     cols = np.array([1, 4, 5, 8])
     for sub, w, kw in ((data, np.full(10, 0.1), {}), (data.subset(cols), rng.dirichlet(np.ones(4)), {"cols": cols})):
@@ -160,8 +160,8 @@ def test_fit_classifier_one_mass_matrix_for_every_pair(monkeypatch):
 
     def counting(ms, regions):
         regions = tuple(regions)
-        if grids and len(regions) == len(grids[0].regions) and all(
-            a is b for a, b in zip(regions, grids[0].regions)
+        if grids and len(regions) == len(grids[0]) and all(
+            a is b for a, b in zip(regions, grids[0])
         ):
             grid_calls.append(len(ms))
         return plain(ms, regions)
@@ -198,7 +198,7 @@ def test_fit_classifier_rounds_read_the_one_grid_matrix(monkeypatch, seed, n_cla
     model = fit_classifier(train, n_centers=5, radius_quantiles=(0.1, 0.4, 0.8), rounds=6, seed=seed)
     monkeypatch.undo()
     (grid,) = grids
-    assert matrices == [len(grid.regions)] and predicts == []
+    assert matrices == [len(grid)] and predicts == []
     fit = boosting.one_vs_one_fit if n_classes > 2 else adaboost_fit
     expected = fit(train, 6, lambda d, w, cols=None: exhaustive_search(d, grid, w))
     assert model.to_json() == expected.to_json()
@@ -221,7 +221,7 @@ def test_emit_rectangle_trace_schema(tmp_path):
         ms.append(Measure(rng.uniform(0.5, 1.5, size=(4, 2))))
         ys.append(1)
     data = LabeledDataset(tuple(ms), np.array(ys))
-    grid = GridSpec.balls([np.full(2, 0.3), np.full(2, 1.2)], [0.4, 0.8])
+    grid = ball_grid([np.full(2, 0.3), np.full(2, 1.2)], [0.4, 0.8])
     learner = make_cached_learner(grid, data)
     ens = adaboost_fit(data, rounds=4, learner=learner)
     path = tmp_path / "trace.csv"
@@ -229,13 +229,13 @@ def test_emit_rectangle_trace_schema(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    assert header[:4] == ["stage", "alpha", "sign", "kind"]
+    assert header == ["stage", "alpha", "sign", "kind", "center", "radius", "mins", "maxs", "threshold"]
     assert len(body) == len(ens.stages)
     for i, ((h, alpha), row) in enumerate(zip(ens.stages, body)):
         assert int(row[0]) == i
         assert float(row[1]) == alpha  # repr() round-trips exactly
         assert int(row[2]) == h.sign
-        assert row[3] == "ball"
+        assert row[3] == "ball" and row[6:8] == ["", ""]
         np.testing.assert_array_equal(json.loads(row[4]), h.region.center)
         assert float(row[8]) == h.threshold
 

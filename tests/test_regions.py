@@ -1,33 +1,24 @@
 import numpy as np
 import pytest
 
-from measureboost.regions import AxisRect, Ball, contains, region_from_json, region_to_json
+from measureboost.regions import Ball, region_from_json, region_to_json
 
 
 def test_ball_boundary_is_inside():
-    assert contains(Ball(np.zeros(2), 1.0), np.array([1.0, 0.0]))
-
-
-def test_rect_outside():
-    assert not contains(AxisRect(np.zeros(2), np.ones(2)), np.array([2.0, 0.0]))
+    B = Ball(np.zeros(2), 1.0)
+    assert B.contains_many(np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1e-4]])).tolist() == [True, True, False]
 
 
 def test_degenerate_ball_contains_center():
-    assert contains(Ball(np.zeros(3), 0.0), np.zeros(3))
-
-
-def test_rect_infinite_max():
-    A = AxisRect(np.array([0.0, 0.0]), np.array([1.0, np.inf]))
-    assert contains(A, np.array([0.5, 1e9]))
-    assert not contains(A, np.array([1.5, 0.0]))
+    assert Ball(np.zeros(3), 0.0).contains_many(np.zeros((1, 3)))[0]
 
 
 def test_contains_iff_zero_distance():
     rng = np.random.default_rng(0)
     for _ in range(50):
         B = Ball(rng.normal(size=2), rng.uniform(0, 2))
-        x = rng.normal(size=2) * 2
-        assert contains(B, x) == (max(0.0, np.linalg.norm(x - B.center) - B.radius) == 0.0)
+        x = rng.normal(size=(1, 2)) * 2
+        assert B.contains_many(x)[0] == (max(0.0, np.linalg.norm(x - B.center) - B.radius) == 0.0)
 
 
 def test_region_json_roundtrip():
@@ -35,17 +26,9 @@ def test_region_json_roundtrip():
     back_ball = region_from_json(region_to_json(B))
     np.testing.assert_array_equal(back_ball.center, B.center)
     assert back_ball.radius == B.radius
-    R = AxisRect(np.array([0.0, 1.0]), np.array([2.0, np.inf]))
-    back = region_from_json(region_to_json(R))
-    np.testing.assert_array_equal(back.mins, R.mins)
-    np.testing.assert_array_equal(back.maxs, R.maxs)
-    # infinite maxs serialize as the string "inf"
-    assert region_to_json(R)["maxs"][1] == "inf"
-
-
-def test_rect_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        AxisRect(np.array([1.0]), np.array([0.0]))
+    # balls are the one region type
+    with pytest.raises(ValueError, match="unknown region type 'rect'"):
+        region_from_json({"type": "rect", "mins": [0.0], "maxs": [1.0]})
 
 
 def test_ball_rejects_negative_radius():

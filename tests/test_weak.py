@@ -7,8 +7,8 @@ from measureboost.measures import LabeledDataset, Measure
 from measureboost.regions import Ball
 from measureboost import weak
 from measureboost.weak import (
-    GridSpec,
     WeakClassifier,
+    ball_grid,
     default_thresholds,
     exhaustive_search,
     kmeans_centers,
@@ -49,8 +49,8 @@ def test_predict_strict_threshold():
 
 def test_exhaustive_separable_toy():
     data = separable_toy()
-    grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    h, err, _ = exhaustive_search(data, grid)
+    grid = ball_grid([np.array([0.5, 0.5])], [1.0])
+    h, err, _ = exhaustive_search(data, grid, thresholds=[[0.5]])
     assert err == 0.0
     assert weighted_error(h, data) == 0.0
 
@@ -58,7 +58,7 @@ def test_exhaustive_separable_toy():
 def test_exhaustive_orientation_symmetry():
     data = random_dataset(5)
     flipped = LabeledDataset(data.measures, 1 - data.labels)
-    grid = GridSpec.balls(
+    grid = ball_grid(
         [np.array([0.0, 0.0]), np.array([1.0, 1.0])], [0.5, 1.0, 2.0]
     )
     _, e1, _ = exhaustive_search(data, grid)
@@ -72,11 +72,11 @@ def test_exhaustive_matches_bruteforce():
     centers = [np.array([0.0, 0.0]), np.array([0.5, 1.0]), np.array([1.5, 0.0])]
     radii = [0.5, 1.0, 1.5]
     thresholds = (0.5, 1.5, 2.5)
-    grid = GridSpec.balls(centers, radii, thresholds=thresholds)
-    h, err, _ = exhaustive_search(data, grid)
+    grid = ball_grid(centers, radii)
+    h, err, _ = exhaustive_search(data, grid, thresholds=np.tile(thresholds, (len(grid), 1)))
     best = min(
         weighted_error(WeakClassifier(A, t, s), data)
-        for A in grid.regions
+        for A in grid
         for t in thresholds
         for s in (1, -1)
     )
@@ -89,7 +89,7 @@ def test_exhaustive_reported_error_is_true_error():
     # same strict rule predict() applies
     for seed in range(5):
         data = random_dataset(seed, n=16, pts=3)
-        grid = GridSpec.balls([np.array([0.5, 0.5])], [0.7, 1.2])
+        grid = ball_grid([np.array([0.5, 0.5])], [0.7, 1.2])
         h, err, _ = exhaustive_search(data, grid)
         assert err == pytest.approx(weighted_error(h, data))
 
@@ -99,11 +99,11 @@ def test_exhaustive_weighted():
     n = len(data)
     w = np.zeros(n)
     w[0] = 1.0  # all weight on one example
-    grid = GridSpec.balls([np.array([0.5, 0.5])], [1.0], thresholds=(0.5,))
-    _, err, _ = exhaustive_search(data, grid, w=w)
+    grid = ball_grid([np.array([0.5, 0.5])], [1.0])
+    _, err, _ = exhaustive_search(data, grid, w=w, thresholds=[[0.5]])
     assert err == 0.0
     with pytest.raises(ValueError):
-        exhaustive_search(data, grid, w=np.full(n, 1.0))  # does not sum to 1
+        exhaustive_search(data, grid, w=np.full(n, 1.0), thresholds=[[0.5]])  # does not sum to 1
 
 
 def _loop_thresholds(m):
@@ -112,16 +112,16 @@ def _loop_thresholds(m):
     return np.unique(np.concatenate([qs, (qs[:-1] + qs[1:]) / 2.0]))
 
 
-def _loop_search(data, grid, w, masses):
+def _loop_search(data, grid, w, masses, thresholds):
     """Reference: the per-region loop with its explicit tie key
     (error, sign +1 first, region index, threshold index)."""
     n = len(data)
     w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=float)
     y = data.labels
     best = None
-    for a, region in enumerate(grid.regions):
+    for a, region in enumerate(grid):
         m = masses[a]
-        thr = _loop_thresholds(m) if grid.thresholds is None else np.asarray(grid.thresholds, dtype=float)
+        thr = _loop_thresholds(m) if thresholds is None else np.asarray(thresholds[a], dtype=float)
         err_plus = np.where(m[None, :] > thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
         err_minus = np.where(m[None, :] < thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
         for sign_rank, errs, sign in ((0, err_plus, 1), (1, err_minus, -1)):
@@ -135,31 +135,27 @@ def _loop_search(data, grid, w, masses):
 @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 50, 1 << 20]))
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_search_matches_region_loop(seed, cells):
-    # integer masses and fixed thresholds make ties in error, threshold and
-    # region common; small _CELLS split the regions over several blocks
+    # integer masses and given threshold rows (unsorted, with repeats) make
+    # ties in error, threshold and region common; small _CELLS split the
+    # regions over several blocks
     rng = np.random.default_rng(seed)
     n, n_regions = int(rng.integers(1, 30)), int(rng.integers(1, 20))
     if rng.random() < 0.5:
         masses = rng.integers(0, 5, size=(n_regions, n)).astype(float)
     else:
         masses = rng.uniform(0, 3, size=(n_regions, n))
-    thresholds = None if rng.random() < 0.5 else tuple(rng.integers(0, 5, size=int(rng.integers(1, 6))) / 1.0)
-    grid = GridSpec(tuple(Ball(np.zeros(2), float(r + 1)) for r in range(n_regions)), thresholds)
+    thresholds = None if rng.random() < 0.5 else rng.integers(0, 5, size=(n_regions, int(rng.integers(1, 6)))) / 1.0
+    grid = tuple(Ball(np.zeros(2), float(r + 1)) for r in range(n_regions))
     data = LabeledDataset(tuple(unit([[0, 0]]) for _ in range(n)), rng.integers(0, 2, size=n))
     w = None if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
-    want, want_err = _loop_search(data, grid, w, masses)
+    want, want_err = _loop_search(data, grid, w, masses, thresholds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weak, "_CELLS", cells)
-        got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses)
+        got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses, thresholds=thresholds)
     assert got.region is want.region
     assert (got.threshold, got.sign, got_err) == (want.threshold, want.sign, want_err)
-    a = next(a for a, region in enumerate(grid.regions) if region is want.region)
+    a = next(a for a, region in enumerate(grid) if region is want.region)
     np.testing.assert_array_equal(got_row, masses[a])
-
-
-def test_grid_rejects_empty_thresholds():
-    with pytest.raises(ValueError):
-        GridSpec((Ball(np.zeros(2), 1.0),), thresholds=())
 
 
 def test_default_thresholds_cover_extremes():
@@ -184,8 +180,9 @@ def test_kmeans_deterministic_and_reasonable():
 
 
 def test_kmeans_k_too_large():
-    with pytest.raises(ValueError):
-        kmeans_centers(np.zeros((2, 2)), 3)
+    for k in (3, 0, -3):  # k must be between 1 and the number of points
+        with pytest.raises(ValueError, match=f"k = {k} must be between 1"):
+            kmeans_centers(np.zeros((2, 2)), k)
 
 
 def _loop_kmeans(points, k, seed):
