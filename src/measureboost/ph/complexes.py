@@ -18,8 +18,10 @@ and Delaunay-Cech filtrations have the same persistence (Bauer and
 Edelsbrunner, The Morse theory of Cech and Delaunay complexes, 2017), with
 far fewer simplices.  It falls back to every common neighbour on a cloud
 with a repeated point and when Qhull cannot be trusted with the cloud (see
-`_delaunay_cells`).  Smaller clouds keep every candidate, so the top simplex
-of k+2 points is always there.
+`_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
+their full complex, with the top simplex sorted last.  Tetrahedra are
+valued by `miniball_radius` on stacks of vertex sets, one boundary subset
+at a time for the whole stack.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = ["FilteredComplex", "cech_filtration", "rips_filtration", "miniball_ra
 _JITTER_SEED = 715517
 _BUDGET = 5_000_000  # most candidate simplices of one dimension a build may enumerate
 _BLOCK = 1024  # faces masked at a time when counting and listing candidates
+_ROWS = 1 << 16  # tetrahedra whose miniballs are solved at a time
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,12 @@ def _sort_key(item):
 
 
 def _half_distances(points: np.ndarray) -> np.ndarray:
-    """Half the distance between every two points, summed one coordinate at a
-    time: no (n, n, d) difference array."""
-    edge_val = np.zeros((len(points), len(points)))
-    for x in points.T:
-        diff = x[:, None] - x
+    """Half the distance between every two points of an (n, d) cloud, or of
+    each cloud of an (N, n, d) stack, summed one coordinate at a time: no
+    (n, n, d) difference array."""
+    edge_val = np.zeros(points.shape[:-1] + points.shape[-2:-1])
+    for x in np.moveaxis(points, -1, 0):
+        diff = x[..., :, None] - x[..., None, :]
         edge_val += np.square(diff, out=diff)
     np.sqrt(edge_val, out=edge_val)
     edge_val /= 2.0
@@ -110,62 +114,62 @@ def _circumradius3(p0, p1, p2):
     return np.where(obtuse, 0.5 * np.sqrt(longest), circum)
 
 
-def _circumsphere_subset(pts: np.ndarray):
-    """Center/radius of the smallest sphere with all of pts on its boundary.
-
-    Works in the affine hull of pts; returns None for degenerate subsets.
-    """
-    p0 = pts[0]
-    if len(pts) == 1:
-        return p0, 0.0
-    B = pts[1:] - p0
-    G = B @ B.T
-    b = 0.5 * np.einsum("ij,ij->i", B, B)
+def _solve_stacked(gram, rhs):
+    """The solution of each stacked system gram x = rhs; NaN where gram is
+    singular."""
     try:
-        alpha = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(alpha)):
-        return None
-    center = p0 + alpha @ B
-    return center, float(np.linalg.norm(center - p0))
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the stack: halve it
+        if len(gram) == 1:
+            return np.full(rhs.shape, np.nan)
+        half = len(gram) // 2
+        return np.concatenate([_solve_stacked(gram[:half], rhs[:half]), _solve_stacked(gram[half:], rhs[half:])])
 
 
-def miniball_radius(pts: np.ndarray) -> float:
-    """Exact minimal enclosing ball radius of a small point set (<= 5 points).
+def miniball_radius(pts: np.ndarray):
+    """Exact minimal enclosing ball radius of a small point set (<= 5 points):
+    a float for one (m, d) set, an array for an (N, m, d) stack of them.
 
-    Enumerates boundary subsets and keeps the smallest enclosing candidate;
-    equivalent to Welzl's recursion at these sizes.  Each subset is solved in
-    coordinates relative to its first point: differences of nearby points are
-    exact, so the relative enclosure test holds at any scale.
+    Enumerates boundary subsets and keeps the smallest enclosing candidate,
+    the first one in `itertools.combinations` order on ties; equivalent to
+    Welzl's recursion at these sizes.  Each subset's center solves a Gram
+    system in coordinates relative to the subset's first point: differences
+    of nearby points are exact, so the relative enclosure test holds at any
+    scale.  Every subset is solved for the whole stack at once.
     """
     pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    best = None
-    for size in range(1, min(n, d + 1) + 1):
-        for subset in itertools.combinations(range(n), size):
-            rel = pts - pts[subset[0]]
-            res = _circumsphere_subset(rel[list(subset)])
-            if res is None:
-                continue
-            center, radius = res
-            if best is not None and radius >= best:
-                continue
-            dmax = float(np.sqrt(np.max(np.sum((rel - center) ** 2, axis=1))))
-            if dmax <= radius * (1 + 1e-9):
-                best = radius if best is None else min(best, radius)
-    if best is None:  # numerically degenerate: fall back to half-diameter bound
-        best = 0.5 * float(
-            np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1))
-        )
+    if pts.ndim == 2:
+        return float(miniball_radius(pts[None])[0])
+    n, m, d = pts.shape
+    best = np.full(n, np.inf)
+    for size in range(1, min(m, d + 1) + 1):
+        for subset in itertools.combinations(range(m), size):
+            rel = pts - pts[:, subset[:1]]
+            edges = rel[:, subset[1:]]
+            gram = edges @ edges.transpose(0, 2, 1)
+            alpha = _solve_stacked(gram, 0.5 * np.einsum("nij,nij->ni", edges, edges))
+            with np.errstate(invalid="ignore", over="ignore"):  # singular subsets give NaN or inf
+                center = (alpha[:, None] @ edges)[:, 0]
+                radius = np.sqrt((center[:, None] @ center[:, :, None])[:, 0, 0])
+                dmax = np.sqrt(np.max(np.sum((rel - center[:, None]) ** 2, axis=-1), axis=-1))
+            # NaN and infinite radii fail the first test
+            better = (radius < best) & (dmax <= radius * (1 + 1e-9))
+            best[better] = radius[better]
+    lost = np.isinf(best)  # numerically degenerate: fall back to the half diameter
+    if lost.any():
+        sets = pts[lost]
+        diam = np.linalg.norm(sets[:, :, None] - sets[:, None], axis=-1)
+        best[lost] = 0.5 * np.max(diam, axis=(1, 2))
     return best
 
 
 def _cech_value(points, simplices):
-    """Minimal enclosing ball radius of each row of vertex indices."""
+    """Minimal enclosing ball radius of each row of vertex indices, solved
+    _ROWS tetrahedra at a time."""
     if simplices.shape[1] == 3:
         return _circumradius3(*points[simplices.T])
-    return np.array([miniball_radius(points[verts]) for verts in simplices])
+    starts = range(0, len(simplices), _ROWS)
+    return np.concatenate([np.empty(0)] + [miniball_radius(points[simplices[i : i + _ROWS]]) for i in starts])
 
 
 def _codes(simplices, n):
@@ -286,6 +290,8 @@ def _cofaces(points, faces, values, up, max_value, value_fn, cells):
 def _build_filtration(points, max_dim, max_value, value_fn):
     if not 0 <= max_dim <= 3:
         raise ValueError(f"max_dim must be between 0 and 3, got {max_dim}")
+    if np.isnan(max_value):  # every value test would fail and keep only the vertices
+        raise ValueError("max_value must not be NaN")
     points = _as_cloud(points)
     n, d = points.shape
     simplices = [((i,), 0.0) for i in range(n)]
@@ -294,10 +300,10 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         order = np.arange(n)
         up = (edge_val <= max_value) & (order[:, None] < order)
         cells, top = None, max_dim
-        # Cech and Delaunay-Cech filtrations have the same persistence.  The
-        # (k+2)-point clouds of mu_k_montecarlo keep every candidate, and so
-        # do clouds with a repeated point: when every point is a copy of one,
-        # the jittered copies span only 1e-12 and their radii are rounding noise
+        # Cech and Delaunay-Cech filtrations have the same persistence.  Clouds
+        # with a repeated point keep every candidate: when every point is a copy
+        # of one, the jittered copies span only 1e-12 and their radii are
+        # rounding noise
         repeated = deduped is not points
         if value_fn is not None and not repeated and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
             cells = _delaunay_cells(points, edge_val)

@@ -59,12 +59,14 @@ def diagram_to_measure(diagram: PersistenceDiagram, truncation: float | None = N
     """Unit-weight measure on the plane with one point (b, d - b) per pair.
 
     Infinite deaths are replaced by `truncation` before rotating; without a
-    truncation value they are an error.
+    finite truncation value they are an error.
     """
     pairs = np.array(diagram.pairs, dtype=float)
     if np.any(np.isinf(pairs[:, 1])):
         if truncation is None:
             raise ValueError("diagram has infinite deaths; pass a truncation value")
+        if not math.isfinite(truncation):
+            raise ValueError(f"truncation must be finite to replace infinite deaths, got {truncation}")
         pairs[np.isinf(pairs[:, 1]), 1] = truncation
     return Measure(np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]]))
 

@@ -309,18 +309,54 @@ def test_ph_cech_builds_400_points_at_inf(tmp_path):
     assert peak < 100e6
 
 
-def test_limit_check_above_degree_2_fails_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("k", [-1, 3])
+def test_limit_check_above_degree_2_fails_before_writing(tmp_path, capsys, k):
+    # degrees outside 0..2 fail in the Monte-Carlo estimate, before the CSV
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[setup]\nk = 3\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
+    cfg.write_text(f"[setup]\nk = {k}\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
     assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
+    assert f"error: k must be in 0..2, got {k}" in capsys.readouterr().err
     assert not (tmp_path / "limit_check.csv").exists()
-    # degree k needs max_dim k + 1; ph takes max_dim directly, in the same range 0..3
+
+
+def test_ph_max_dim_out_of_range_fails_before_writing(tmp_path, capsys):
+    # degree k needs max_dim k + 1; ph takes max_dim directly, in the range 0..3
     data, _ = _orbit_diagrams(tmp_path)
     capsys.readouterr()
     for max_dim in ("-1", "4"):
         out = tmp_path / f"dg{max_dim}.jsonl"
         assert run(["ph", "--input", str(data), "--output", str(out), "--max-dim", max_dim]) == 5
         assert "error: max_dim must be between 0 and 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ph_rejects_nan_max_value(tmp_path, capsys):
+    # against NaN every edge test fails, which kept only the vertices
+    data, _ = _orbit_diagrams(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "dg-nan.jsonl"
+    assert run(["ph", "--input", str(data), "--output", str(out), "--max-value", "nan"]) == 5
+    assert "error: max_value must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_truncation_names_the_flag(tmp_path, capsys):
+    # the truncation replaces the infinite death of each H0 diagram
+    dgms = tmp_path / "dg.jsonl"
+    dgms.write_text("".join(
+        json.dumps({"dim": 0, "pairs": [[0, 0.1 * (i + 1)], [0, "inf"]], "cloud": i, "label": i % 2}) + "\n"
+        for i in range(6)
+    ))
+    model = tmp_path / "m.json"
+    assert run(["train", "--input", str(dgms), "--out", str(model), "--n-centers", "2", "--dims", "0"]) == 0
+    capsys.readouterr()
+    for command in ("train", "predict", "eval"):
+        out = tmp_path / f"{command}.out"
+        argv = [command, "--input", str(dgms), "--out", str(out), "--dims", "0", "--truncation", "nan"]
+        if command != "train":
+            argv += ["--model", str(model)]
+        assert run(argv) == 5
+        assert "error: truncation must be finite to replace infinite deaths, got nan" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -101,6 +101,77 @@ def test_miniball_tiny_cluster_far_from_origin():
         assert miniball_radius(q) == pytest.approx(scaled, rel=1e-9, abs=0)
 
 
+def _loop_miniball(pts):
+    """The smallest boundary-subset ball that encloses every point within a
+    relative 1e-9, the first in combinations order on ties, one subset at a
+    time, each solved relative to its first point: (radius, distance from its
+    center to the farthest point), or None when no subset ball encloses."""
+    n, d = pts.shape
+    best = None
+    for size in range(1, min(n, d + 1) + 1):
+        for subset in itertools.combinations(range(n), size):
+            rel = pts - pts[subset[0]]
+            center = np.zeros(d)
+            if size > 1:
+                edges = rel[list(subset[1:])]
+                try:
+                    alpha = np.linalg.solve(edges @ edges.T, 0.5 * np.einsum("ij,ij->i", edges, edges))
+                except np.linalg.LinAlgError:
+                    continue
+                center = alpha @ edges
+            radius = float(np.linalg.norm(center))
+            dmax = float(np.sqrt(np.max(np.sum((rel - center) ** 2, axis=1))))
+            if dmax <= radius * (1 + 1e-9) and (best is None or radius < best[0]):
+                best = (radius, dmax)
+    return best
+
+
+@st.composite
+def miniball_sets(draw):
+    """1-4 sets of 4 or 5 points in the plane or in space: uniform, with
+    repeats, collinear, cocircular or cospherical, or 1e-12 clusters far from
+    the origin."""
+    m, d = draw(st.integers(4, 5)), draw(st.integers(2, 3))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layout = draw(st.sampled_from(["uniform", "repeated", "line", "sphere", "cluster"]))
+        if layout == "line":
+            pts = rng.integers(-4, 5, size=(m, 1)) / 2 * rng.normal(size=d) + rng.normal(size=d)
+        elif layout == "sphere":  # angles on a pi/4 grid: many points share circles
+            a, b = rng.integers(0, 8, size=(2, m)) * np.pi / 4
+            pts = np.column_stack([np.cos(a), np.sin(a)])
+            if d == 3:
+                pts = np.column_stack([pts * np.sin(b)[:, None], np.cos(b)])
+        elif layout == "cluster":
+            far = rng.normal(size=d)
+            pts = far / np.linalg.norm(far) * 10.0 ** rng.integers(0, 4) + rng.normal(scale=1e-12, size=(m, d))
+        else:
+            pts = rng.uniform(-1, 1, size=(m, d))
+        if layout == "repeated" or draw(st.booleans()):
+            pts[rng.integers(1, m, size=2)] = pts[0]
+        sets.append(pts)
+    return np.array(sets)
+
+
+@given(miniball_sets())
+@example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]] * 4]))  # a singular row among others
+@settings(max_examples=300, deadline=None)
+def test_batched_miniball_matches_subset_enumeration(stack):
+    got = miniball_radius(stack)
+    assert got.shape == (len(stack),)
+    for pts, radius in zip(stack, got):
+        want = _loop_miniball(pts)
+        half_diameter = _half_distances(pts).max()
+        if want is None:  # no subset ball encloses: the half diameter
+            assert radius == half_diameter
+            continue
+        assert radius == want[0]
+        assert want[1] <= radius * (1 + 1e-9)  # its ball encloses every point
+        assert half_diameter <= radius * (1 + 1e-9)  # as every enclosing ball does
+        assert miniball_radius(pts) == radius  # one set alone: the same arithmetic
+
+
 def test_max_value_truncates():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(12, 2))
