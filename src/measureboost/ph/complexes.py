@@ -6,18 +6,23 @@ Conventions, fixed once for the whole package:
   * Rips filtration value = diameter / 2, so the two filtrations agree on
     vertices and edges.  Beware: much of the literature uses diameter.
 
-The edges are all pairs whose value is <= max_value.  One vectorized loop
-builds every higher dimension from the one below, and a candidate is kept
-iff all of its facets were kept and its value is <= max_value.  The
-candidates are counted against a budget before any candidate array is
-built.  Rips extends each kept simplex by every higher vertex adjacent to
-all of its vertices.  Cech, on 2-D and 3-D clouds of more than
-max(d, max_dim) + 1 points with max_dim >= 2, takes its edges and
-candidates from the faces of the Delaunay triangulation instead: the Cech
-and Delaunay-Cech filtrations have the same persistence (Bauer and
-Edelsbrunner, The Morse theory of Cech and Delaunay complexes, 2017), with
-far fewer simplices.  It falls back to every common neighbour on a cloud
-with a repeated point and when Qhull cannot be trusted with the cloud (see
+The edges are all pairs whose value is <= max_value.  Their candidates are
+the pairs a KD-tree finds within twice max_value (every pair at infinity),
+or the Delaunay edges below, so a build holds no n x n distance matrix;
+each candidate is valued exactly, one coordinate at a time.  One vectorized
+loop builds every higher dimension from the one below, and a candidate is
+kept iff all of its facets were kept and its value is <= max_value.  The
+candidates of every dimension, edges included, are counted against a
+budget before any candidate array is built.  Rips extends each kept simplex
+by every higher vertex adjacent to all of its vertices.  Cech, on 2-D and
+3-D clouds of more than max(d, max_dim) + 1 points with max_dim >= 2,
+takes its edges and candidates from the faces of the Delaunay
+triangulation instead: the Cech and Delaunay-Cech filtrations have the
+same persistence (Bauer and Edelsbrunner, The Morse theory of Cech and
+Delaunay complexes, 2017), with far fewer simplices.  It falls back to
+every common neighbour on a cloud with a repeated point and when Qhull
+cannot be trusted with the cloud: a closest pair below sqrt(eps) times the
+bounding box diagonal, a Qhull error or a point left out (see
 `_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
 their full complex, with the top simplex sorted last.  Tetrahedra are
 valued by `miniball_radius` on stacks of vertex sets, one boundary subset
@@ -62,41 +67,52 @@ def _sort_key(item):
     return (value, len(verts), verts)
 
 
+def _half_norms(diffs, shape):
+    """Half the Euclidean norm of difference vectors given one coordinate
+    array at a time, summed in that order: every caller gets the same bits."""
+    values = np.zeros(shape)
+    for diff in diffs:
+        values += np.square(diff, out=diff)
+    np.sqrt(values, out=values)
+    values /= 2.0
+    return values
+
+
 def _half_distances(points: np.ndarray) -> np.ndarray:
     """Half the distance between every two points of an (n, d) cloud, or of
-    each cloud of an (N, n, d) stack, summed one coordinate at a time: no
-    (n, n, d) difference array."""
-    edge_val = np.zeros(points.shape[:-1] + points.shape[-2:-1])
-    for x in np.moveaxis(points, -1, 0):
-        diff = x[..., :, None] - x[..., None, :]
-        edge_val += np.square(diff, out=diff)
-    np.sqrt(edge_val, out=edge_val)
-    edge_val /= 2.0
-    return edge_val
+    each cloud of an (N, n, d) stack: no (n, n, d) difference array."""
+    diffs = (x[..., :, None] - x[..., None, :] for x in np.moveaxis(points, -1, 0))
+    return _half_norms(diffs, points.shape[:-1] + points.shape[-2:-1])
+
+
+def _pair_values(points, pairs):
+    """Half the distance of each pair of rows, as `_half_distances` has it."""
+    return _half_norms((x[pairs[:, 0]] - x[pairs[:, 1]] for x in points.T), len(pairs))
+
+
+def _diagonal(points):
+    """Length of the bounding box diagonal, 1.0 when every point is the same."""
+    return float(np.linalg.norm(np.ptp(points, axis=0))) or 1.0
 
 
 def _dedup_points(points: np.ndarray):
     """The points, with every later copy of a repeated point jittered
     deterministically so distances are nonzero (the same array when no point
-    repeats), and their half distances.
+    repeats).
 
-    Repeats are the zero off-diagonal distances whose rows are equal: a
-    squared difference below 1e-154 underflows to zero, so a zero distance
-    alone does not prove a repeat.
+    Repeats are equal rows (-0.0 == 0.0), neighbours in lexicographic order:
+    the sort is stable, so each run of copies starts with the first copy.
     """
-    edge_val = _half_distances(points)
-    i, j = np.nonzero(edge_val == 0)
-    i, j = i[i < j], j[i < j]
-    later = np.unique(j[np.all(points[i] == points[j], axis=1)])
+    order = np.lexsort(points.T[::-1])
+    rows = points[order]
+    later = order[1:][np.all(rows[1:] == rows[:-1], axis=1)]
     if not len(later):
-        return points, edge_val
-    span = np.ptp(points, axis=0)
-    diag = float(np.linalg.norm(span)) or 1.0
+        return points
     rng = np.random.default_rng(_JITTER_SEED)
-    jitter = rng.standard_normal(points.shape) * (1e-12 * diag)
+    jitter = rng.standard_normal(points.shape) * (1e-12 * _diagonal(points))
     out = points.copy()
     out[later] += jitter[later]
-    return out, _half_distances(out)
+    return out
 
 
 def _circumradius3(p0, p1, p2):
@@ -193,21 +209,24 @@ def _cell_faces(cells, size, n):
     return subsets[first]
 
 
-def _delaunay_cells(points, edge_val):
+def _delaunay_cells(points):
     """The Delaunay cells of the points as rows of increasing vertex indices,
     or None when Qhull cannot be trusted with them.
 
     Qhull decides the cells on the lifted coordinates |p|^2, whose rounding
-    error is about eps * diameter^2: two points closer than sqrt(eps) times
-    the diameter are below that resolution.  It also fails on flat clouds
-    and merges points closer than its precision, which then drop out of the
-    triangulation.
+    error is about eps * diagonal^2 (of the bounding box): two points closer
+    than sqrt(eps) times the diagonal are below that resolution.  It also
+    fails on flat clouds and merges points closer than its precision, which
+    then drop out of the triangulation.
     """
-    half = edge_val[np.triu_indices(len(points), 1)]
-    if half.min() < np.sqrt(np.finfo(float).eps) * half.max():
-        return None
-    from scipy.spatial import Delaunay, QhullError  # slow to import: only here
+    from scipy.spatial import Delaunay, QhullError, cKDTree  # slow to import: only here
 
+    own = np.arange(len(points))
+    _, near = cKDTree(points).query(points, k=2)
+    # a point is its own nearest neighbour unless a distance underflows to 0
+    closest = np.column_stack([own, np.where(near[:, 0] == own, near[:, 1], near[:, 0])])
+    if _pair_values(points, closest).min() < np.sqrt(np.finfo(float).eps) * _diagonal(points) / 2:
+        return None
     try:
         tri = Delaunay(points)
     except QhullError:
@@ -217,19 +236,54 @@ def _delaunay_cells(points, edge_val):
     return np.sort(tri.simplices, axis=1)
 
 
+def _check_budget(count, dim):
+    if count > _BUDGET:
+        raise RuntimeError(
+            f"{count} candidate {dim}-simplices exceed the enumeration budget of "
+            f"{_BUDGET}; lower max_value or the point count"
+        )
+
+
+def _edges(points, max_value, cells):
+    """The kept edges as lexicographically sorted rows i < j, and their values.
+
+    The candidates are the Delaunay edges of `cells`, or every pair within
+    twice max_value (widened by a relative 1e-9 against the KD-tree's
+    rounding), counted against the budget before any is listed.
+    """
+    n = len(points)
+    radius = max(2.0 * max_value * (1 + 1e-9), 0.0)
+    if cells is not None:
+        pairs = _cell_faces(cells, 2, n)
+    elif radius == np.inf:
+        _check_budget(n * (n - 1) // 2, 1)
+        pairs = np.column_stack(np.triu_indices(n, 1))
+    else:
+        from scipy.spatial import cKDTree  # slow to import: only here
+
+        tree = cKDTree(points)
+        _check_budget((int(tree.count_neighbors(tree, radius)) - n) // 2, 1)  # ordered pairs, self included
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        pairs = pairs[np.argsort(_codes(pairs, n))]
+    values = _pair_values(points, pairs)
+    keep = values <= max_value
+    return pairs[keep], values[keep]
+
+
 def _cofaces(points, faces, values, up, max_value, value_fn, cells):
     """Kept simplices one dimension above `faces`, with their values.
 
     faces holds the kept simplices of one dimension as lexicographically
     sorted rows of increasing vertex indices, values their filtration values;
-    up[u, v] is True iff u < v and the edge uv was kept.  The candidates are
-    the faces of the Delaunay `cells` one vertex larger, or, when cells is
-    None, each face extended by every higher vertex adjacent to all of its
-    vertices.  A candidate is kept iff all of its facets were kept and its
-    value, raised to the facet maximum, is <= max_value.  The rows returned
-    are again sorted, so they can serve as `faces` one dimension up.
+    up[u, v] is True iff u < v and the edge uv was kept (read only when cells
+    is None).  The candidates are the faces of the Delaunay `cells` one vertex
+    larger, or, when cells is None, each face extended by every higher vertex
+    adjacent to all of its vertices.  A candidate is kept iff all of its
+    facets were kept and its value, raised to the facet maximum, is <=
+    max_value.  The rows returned are again sorted, so they can serve as
+    `faces` one dimension up.
     """
-    n, k = len(up), faces.shape[1]
+    n, k = len(points), faces.shape[1]
     codes = _codes(faces, n)
 
     def lookup(facets):
@@ -263,11 +317,7 @@ def _cofaces(points, faces, values, up, max_value, value_fn, cells):
             rows, found = lookup(cand[:, :k])
             yield rows[found], cand[found, k]
 
-    if count > _BUDGET:
-        raise RuntimeError(
-            f"{count} candidate {k}-simplices exceed the enumeration budget of "
-            f"{_BUDGET}; lower max_value or the point count"
-        )
+    _check_budget(count, k)
     # the facets through the new vertex; the one without it is the face
     through_new = list(itertools.combinations(range(k + 1), k))[1:]
     kept, kept_values = [], []
@@ -296,25 +346,22 @@ def _build_filtration(points, max_dim, max_value, value_fn):
     n, d = points.shape
     simplices = [((i,), 0.0) for i in range(n)]
     if n >= 2 and max_dim >= 1:
-        deduped, edge_val = _dedup_points(points)
-        order = np.arange(n)
-        up = (edge_val <= max_value) & (order[:, None] < order)
+        deduped = _dedup_points(points)
         cells, top = None, max_dim
         # Cech and Delaunay-Cech filtrations have the same persistence.  Clouds
         # with a repeated point keep every candidate: when every point is a copy
         # of one, the jittered copies span only 1e-12 and their radii are
         # rounding noise
-        repeated = deduped is not points
-        if value_fn is not None and not repeated and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
-            cells = _delaunay_cells(points, edge_val)
+        if value_fn is not None and deduped is points and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
+            cells = _delaunay_cells(points)
         points = deduped
         if cells is not None:
-            edges = _cell_faces(cells, 2, n)
-            delaunay = np.zeros_like(up)
-            delaunay[edges[:, 0], edges[:, 1]] = True
-            up &= delaunay
             top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
-        faces, values = np.argwhere(up), edge_val[up]
+        faces, values = _edges(points, max_value, cells)
+        up = None
+        if cells is None and top >= 2:  # the common-neighbour candidates read the edges as a mask
+            up = np.zeros((n, n), dtype=bool)
+            up[faces[:, 0], faces[:, 1]] = True
         for dim in range(1, top + 1):
             if dim > 1:
                 if not len(faces):
@@ -327,8 +374,10 @@ def _build_filtration(points, max_dim, max_value, value_fn):
 
 def _as_cloud(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a (n, d) array")
+    if pts.ndim != 2 or (len(pts) > 1 and not pts.shape[1]):
+        raise ValueError("points must be a (n, d) array with d >= 1")
+    if not np.all(np.isfinite(pts)):  # the KD-tree takes finite points only
+        raise ValueError("points contain non-finite coordinates")
     return pts
 
 

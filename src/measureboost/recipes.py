@@ -521,6 +521,10 @@ def run_limit_check(cfg: RunConfig, workers=1):
     if setup not in _SETUP_DIM:
         raise ConfigError(f"bad value for [setup] name: {setup!r}")
     k, d = cfg["setup"]["k"], _SETUP_DIM[setup]
+    if k == 2:  # every setup lies in the plane
+        raise ValueError(
+            f"k = 2 needs a 3-D setup: {setup!r} lies in the plane, where every degree-2 count and limit is 0"
+        )
     rects = {name: Rectangle(*vals) for name, vals in cfg["rectangles"].items()}
     base = cfg["seeds"]["base"]
     v_max = max(r.v for r in rects.values())

@@ -140,9 +140,12 @@ def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
         centers.append(points[i])
     centers = np.array(centers)
     dim = points.shape[1]
+    d2, diff = np.empty((len(points), k)), np.empty((len(points), k))
     for _ in range(_KMEANS_ITERS):
-        # one coordinate at a time, added in np.sum's order: no (n, k, dim) array
-        d2 = sum((x[:, None] - c) ** 2 for x, c in zip(points.T, centers.T))
+        # one coordinate at a time, added in np.sum's order into one buffer: no (n, k, dim) array
+        d2.fill(0.0)
+        for x, c in zip(points.T, centers.T):
+            d2 += np.square(np.subtract(x[:, None], c, out=diff), out=diff)
         assign = np.argmin(d2, axis=1)
         # per-cluster sums in index order, like mean(axis=0) over the members
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()

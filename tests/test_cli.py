@@ -309,6 +309,34 @@ def test_ph_cech_builds_400_points_at_inf(tmp_path):
     assert peak < 100e6
 
 
+def test_ph_edge_budget_fails_before_allocating(tmp_path, capsys):
+    # C(4000, 2) > 5 * 10^6 candidate edges at inf, counted before any edge array exists
+    pts = np.random.default_rng(0).uniform(0, 1, size=(4000, 2))
+    code, peak = _ph_peak(tmp_path, pts, "--max-dim", "1")
+    assert code == 5
+    assert "budget" in capsys.readouterr().err
+    assert peak < 100e6
+
+
+def test_ph_sparse_build_holds_no_distance_matrix(tmp_path):
+    # a 20000 x 20000 distance matrix alone would take 3.2 GB; at this radius
+    # the KD-tree finds about 63k edges
+    pts = np.random.default_rng(0).uniform(0, 1, size=(20_000, 2))
+    code, peak = _ph_peak(tmp_path, pts, "--max-dim", "1", "--max-value", "0.005")
+    assert code == 0
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("setup", ["circle", "square"])
+def test_limit_check_degree_2_needs_a_3d_setup(tmp_path, capsys, setup):
+    # both setups lie in the plane, where degree 2 reads 0 whatever the cloud
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[setup]\nname = {setup}\nk = 2\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
+    assert f"error: k = 2 needs a 3-D setup: {setup!r} lies in the plane" in capsys.readouterr().err
+    assert not (tmp_path / "limit_check.csv").exists()
+
+
 @pytest.mark.parametrize("k", [-1, 3])
 def test_limit_check_above_degree_2_fails_before_writing(tmp_path, capsys, k):
     # degrees outside 0..2 fail in the Monte-Carlo estimate, before the CSV

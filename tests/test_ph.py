@@ -12,6 +12,7 @@ from measureboost.ph.complexes import (
     _circumradius3,
     _dedup_points,
     _delaunay_cells,
+    _edges,
     _half_distances,
     miniball_radius,
 )
@@ -284,7 +285,7 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
         and max_dim >= 2
         and n > max(d, max_dim) + 1
         and len(np.unique(pts, axis=0)) == n
-        and _delaunay_cells(pts, _half_distances(pts)) is not None
+        and _delaunay_cells(pts) is not None
     )
     if not delaunay:
         assert fc.simplices == want  # every candidate is kept
@@ -335,10 +336,30 @@ def test_delaunay_cech_matches_all_subsets_enumeration(pts, max_dim, max_value):
 def test_duplicate_search_matches_np_unique(pts, flipped_copy):
     if flipped_copy and len(pts):  # the first row with its zeros negated: -0.0 == 0.0
         pts = np.vstack([pts, np.where(pts[0] == 0, -pts[0], pts[0])])
-    got, half = _dedup_points(pts)
+    got = _dedup_points(pts)
     want = dedup_by_unique(pts)
     assert np.array_equal(got, want)
-    assert np.array_equal(half, _half_distances(want))
+    assert (got is pts) == (want is pts)  # the same array when no point repeats
+
+
+@given(
+    degenerate_clouds(min_n=2),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]),
+    st.sampled_from([1.0, 3.0, 1e-160, 1e150]),
+)
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]]), 0.0, 1.0)  # -0.0 copies
+# spacing 2 * max_value: values on the boundary; 60 points span several KD-tree leaves
+@example(np.mgrid[0:10, 0:6].reshape(2, -1).T * 0.5, 0.25, 1.0)
+@settings(max_examples=300, deadline=None)
+def test_pair_search_matches_the_distance_matrix(pts, max_value, scale):
+    # the KD-tree pair search against every entry of the dense half-distance matrix
+    pts = _dedup_points(pts * scale)
+    max_value *= scale
+    edges, values = _edges(pts, max_value, None)
+    half = _half_distances(pts)
+    i, j = np.nonzero(np.triu(half <= max_value, 1))
+    assert np.array_equal(edges, np.column_stack([i, j]))
+    assert np.array_equal(values, half[i, j])
 
 
 def test_planar_cloud_has_no_h2():
