@@ -37,7 +37,12 @@ class Ball:
     def sq_distances(self, points: np.ndarray) -> np.ndarray:
         if points.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        return np.sum((points - self.center) ** 2, axis=1)
+        # one coordinate at a time into one buffer, in np.sum's order for the
+        # few coordinates of a feature point: no (n, dim) temporaries
+        out, tmp = np.zeros(len(points)), np.empty(len(points))
+        for x, c in zip(points.T, self.center):
+            out += np.square(np.subtract(x, c, out=tmp), out=tmp)
+        return out
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         return self.sq_distances(points) <= self.radius**2

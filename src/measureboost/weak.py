@@ -20,7 +20,6 @@ from .regions import Ball, region_from_json, region_to_json
 __all__ = [
     "WeakClassifier",
     "ball_grid",
-    "weighted_error",
     "exhaustive_search",
     "kmeans_centers",
     "default_thresholds",
@@ -29,6 +28,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-9
 _KMEANS_ITERS = 100
 _KMEANS_TOL = 1e-6
+_SKIP_REL, _SKIP_FLOOR = 1e-9, 1e-150  # margins of the bounded Lloyd skip test
 _CELLS = 1 << 20  # most (region, threshold, measure) cells one search block holds
 
 
@@ -78,13 +78,6 @@ def _check_weights(w, n):
     return w
 
 
-def weighted_error(h: WeakClassifier, data: LabeledDataset, w=None) -> float:
-    """Weighted 0-1 error; uniform weights when w is None."""
-    n = len(data)
-    w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
-    return float(w[h.predict(data.measures) != data.labels].sum())
-
-
 def default_thresholds(masses: np.ndarray) -> np.ndarray:
     """Per region (row of masses), its mass quantiles 0, 0.1, ..., 1 plus the
     midpoints of consecutive quantiles, sorted; repeated values are kept."""
@@ -124,36 +117,82 @@ def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray 
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):
-    """Lloyd's algorithm with k-means++ seeding; deterministic given seed."""
+    """k-means++ seeding, then Lloyd's algorithm; deterministic given seed.
+
+    Lloyd runs bounded (Hamerly, *Making k-means even faster*, SDM 2010):
+    each point keeps an upper bound on its distance to its own center and a
+    lower bound on its distance to every other center, and a step computes
+    distances only for the points whose bounds overlap.  A point skips only
+    when its own center is provably strictly nearest in floating point, so
+    the assignments, and the returned centers, are bit for bit those of
+    plain Lloyd.
+    """
     points = np.asarray(points, dtype=float)
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         raise ValueError("empty input")
-    if not 1 <= k <= len(points):
-        raise ValueError(f"k = {k} must be between 1 and the number of points, {len(points)}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} must be between 1 and the number of points, {n}")
     rng = np.random.default_rng(seed)
-    centers = [points[rng.integers(len(points))]]
-    d2 = np.full(len(points), np.inf)
+    centers = [points[rng.integers(n)]]
+    # squared distances add one coordinate at a time, in np.sum's order for
+    # the few coordinates of a feature point, into preallocated buffers
+    d2, acc, tmp = np.full(n, np.inf), np.empty(n), np.empty(n)
     for _ in range(k - 1):
-        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(-1))
+        acc.fill(0.0)
+        for x, c in zip(points.T, centers[-1]):
+            acc += np.square(np.subtract(x, c, out=tmp), out=tmp)
+        np.minimum(d2, acc, out=d2)
         total = d2.sum()  # 0 when all remaining points coincide with centers
-        i = np.argsort(-d2)[0] if total <= 0 else rng.choice(len(points), p=d2 / total)
+        i = np.argsort(-d2)[0] if total <= 0 else rng.choice(n, p=d2 / total)
         centers.append(points[i])
     centers = np.array(centers)
     dim = points.shape[1]
-    d2, diff = np.empty((len(points), k)), np.empty((len(points), k))
+    d2, diff = np.empty((n, k)), np.empty((n, k))
+    assign = np.zeros(n, dtype=np.intp)
+    upper, lower = np.full(n, np.inf), np.zeros(n)  # every row is computed in the first step
+    drift = 0.0  # sum over steps of the largest center move
     for _ in range(_KMEANS_ITERS):
-        # one coordinate at a time, added in np.sum's order into one buffer: no (n, k, dim) array
-        d2.fill(0.0)
-        for x, c in zip(points.T, centers.T):
-            d2 += np.square(np.subtract(x[:, None], c, out=diff), out=diff)
-        assign = np.argmin(d2, axis=1)
+        # A row skips only if its float d2 to its center is strictly below its
+        # float d2 to every other center, so the first-minimum argmin would
+        # keep it; a float tie always recomputes.  The bounds are distances
+        # up to rounding: each sqrt of a float d2 is within a few ulps of the
+        # true distance, `upper` is a sum of nonnegative terms (its error is
+        # relative to itself) and `lower` a difference of terms no larger
+        # than lower + drift, so the relative margin _SKIP_REL covers every
+        # rounding by orders of magnitude.  Squares below the smallest normal
+        # lose absolute precision; the floor _SKIP_FLOOR, above the square
+        # root of the smallest normal, keeps such rows from skipping.
+        # Infinite bounds (k = 1, overflow) and NaN fail the test: recompute.
+        margin = upper * (1 + _SKIP_REL) + _SKIP_REL * (lower + drift) + _SKIP_FLOOR
+        rows = np.flatnonzero(~(margin < lower))
+        m = len(rows)
+        if m:
+            # one coordinate at a time, added in np.sum's order into one buffer: no (n, k, dim) array
+            dist, buf = d2[:m], diff[:m]
+            dist.fill(0.0)
+            for x, c in zip(points[rows].T, centers.T):
+                dist += np.square(np.subtract(x[:, None], c, out=buf), out=buf)
+            own = np.arange(m), np.argmin(dist, axis=1)
+            assign[rows] = own[1]
+            upper[rows] = np.sqrt(dist[own])
+            dist[own] = np.inf
+            lower[rows] = np.sqrt(dist.min(axis=1))
         # per-cluster sums in index order, like mean(axis=0) over the members
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()
         sums = np.bincount(cells, points.ravel(), centers.size).reshape(centers.shape)
         counts = np.bincount(assign, minlength=k)[:, None]
         new = np.where(counts > 0, sums / np.maximum(counts, 1), centers)  # empty: keep the center
-        shift = float(np.max(np.linalg.norm(new - centers, axis=1)))
+        moves = np.linalg.norm(new - centers, axis=1)
+        shift = float(np.max(moves))
         centers = new
         if shift < _KMEANS_TOL:
             break
+        # a point's own center moved by moves[a]; every other one by at most
+        # the largest move, or the second largest when its own moved most
+        top = int(np.argmax(moves))
+        second = float(np.max(np.delete(moves, top))) if k > 1 else 0.0
+        upper += moves[assign]
+        lower -= np.where(assign == top, second, shift)
+        drift += shift
     return centers

@@ -34,3 +34,14 @@ def test_region_json_roundtrip():
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         Ball(np.zeros(2), -0.1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
+def test_sq_distances_match_numpy_sum(dim, scale):
+    # added one coordinate at a time, the sums keep np.sum's bits, also where
+    # squares underflow (1e-160) or come near overflow (1e150)
+    rng = np.random.default_rng(dim)
+    for pts in (rng.normal(size=(500, dim)), np.round(rng.normal(size=(500, dim)) * 2) / 2):
+        p, c = pts * scale, rng.normal(size=dim) * scale
+        np.testing.assert_array_equal(Ball(c, 1.0).sq_distances(p), np.sum((p - c) ** 2, axis=1))

@@ -12,12 +12,18 @@ from measureboost.weak import (
     default_thresholds,
     exhaustive_search,
     kmeans_centers,
-    weighted_error,
 )
 
 
 def unit(points):
     return Measure(np.asarray(points, dtype=float))
+
+
+def weighted_error(h, data, w=None):
+    """Weighted 0-1 error of h on data; uniform weights when w is None."""
+    n = len(data)
+    w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=float)
+    return float(w[h.predict(data.measures) != data.labels].sum())
 
 
 def random_dataset(seed, n=20, pts=4, d=2):
@@ -237,6 +243,45 @@ def test_kmeans_matches_center_loop_at_recipe_scale():
     ])
     pts = np.vstack([pts, pts[::7]])
     np.testing.assert_array_equal(kmeans_centers(pts, 60, seed=7), _loop_kmeans(pts, 60, 7))
+
+
+def test_kmeans_sees_the_summation_order():
+    # s**2 is under half an ulp of 1 and 2 * s**2 over it, so the origin's
+    # squared distance to (1, s, s) is exactly 1.0 summed as (a0 + a1) + a2,
+    # np.sum's order, but 1 + 2**-52 summed as a0 + (a2 + a1).  Seed 11 seeds
+    # the centers on (1, s, s) and (-1, 0, 0): in np.sum's order the origin
+    # ties at 1.0 and the first minimum puts it with (1, s, s)
+    s = 5 * 2.0**-29
+    pts = np.array([[1.0, s, s], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.sum(pts[0] ** 2) == 1.0 and pts[0, 0] ** 2 + (pts[0, 2] ** 2 + pts[0, 1] ** 2) == 1 + 2.0**-52
+    got = kmeans_centers(pts, 2, seed=11)
+    np.testing.assert_array_equal(got, [[0.5, s / 2, s / 2], [-1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(got, _loop_kmeans(pts, 2, 11))
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_kmeans_skip_rule_matches_center_loop(seed, dim):
+    # Lloyd skips the rows whose own center is provably nearest; up to 400
+    # points let rows skip, and exact ties (half grids, points on circles,
+    # repeated points), squares that underflow (scale 1e-160) or come near
+    # overflow (1e150) and k up to n must still give plain Lloyd's centers
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    kind = int(rng.integers(4))
+    if kind == 0:  # half grid: many points equidistant from two centers
+        pts = rng.integers(-4, 5, size=(n, dim)) / 2.0
+    elif kind == 1:  # two circles of 12 angles each, in 3-D on two planes
+        t, r = 2 * np.pi * rng.integers(0, 12, size=n) / 12, rng.integers(1, 3, size=n)
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t), rng.integers(0, 2, size=n)][:dim])
+    elif kind == 2:  # repeated points
+        base = rng.normal(size=(int(rng.integers(1, n + 1)), dim))
+        pts = base[rng.integers(0, len(base), size=n)]
+    else:
+        pts = rng.normal(size=(n, dim))
+    pts = pts * [1e-160, 1.0, 1e150][int(rng.integers(3))]
+    k = int(rng.integers(1, n + 1)) if rng.random() < 0.25 else int(rng.integers(1, min(n, 12) + 1))
+    np.testing.assert_array_equal(kmeans_centers(pts, k, seed), _loop_kmeans(pts, k, seed))
 
 
 def test_kmeans_coincident_points():
