@@ -35,7 +35,7 @@ from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
-from .weak import ball_grid, default_thresholds, exhaustive_search, kmeans_centers
+from .weak import ball_grid, default_thresholds, exhaustive_search, kmeans_centers, rank_thresholds
 
 __all__ = ["ConfigError", "RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
@@ -170,13 +170,13 @@ def make_cached_learner(grid, train: LabeledDataset):
     """Exhaustive-search learner over train's one mass matrix on the grid,
     called as learner(data, w, cols=None) with cols data's positions in train
     (None: all of train).  Masses and thresholds do not change between
-    rounds, so a fit's are taken once, when it starts."""
+    rounds, so a fit's, and their ranking, are taken once, when it starts."""
     masses = mass_matrix(train.measures, grid)
 
     @lru_cache(maxsize=1)  # the fit in progress
     def columns(cols):
         sub = masses if cols is None else masses[:, list(cols)]
-        return sub, default_thresholds(sub)
+        return sub, rank_thresholds(sub, default_thresholds(sub))
 
     def learner(data, w, cols=None):
         return exhaustive_search(data, grid, w, *columns(None if cols is None else tuple(cols)))

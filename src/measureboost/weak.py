@@ -1,8 +1,12 @@
 """Weak classifiers on measures: a region, a mass threshold and a sign.
 
-`exhaustive_search` is the trainer: it fills one array with the weighted 0-1
-loss of every orientation x region x threshold of a discretized grid and
-returns its first minimum.
+`exhaustive_search` is the trainer: it scores the weighted 0-1 loss of every
+orientation x region x threshold of a discretized grid, from running sums of
+the class weights over each region's masses in increasing order, and returns
+the first cell, sign +1 first, then by region, then by threshold, whose loss
+is within tau = n * 4 * eps of the least.  tau bounds the rounding of those
+sums, so the choice follows the exact losses and no longer depends on the
+summation order or the memory layout of the masses.
 
 The decision rule is strict: predict label 1 iff sign * (mass - threshold) > 0.
 Ties at exactly the threshold therefore predict label 0, deterministically.
@@ -11,6 +15,7 @@ Ties at exactly the threshold therefore predict label 0, deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +26,8 @@ __all__ = [
     "WeakClassifier",
     "ball_grid",
     "exhaustive_search",
+    "rank_thresholds",
+    "ThresholdRanks",
     "kmeans_centers",
     "default_thresholds",
 ]
@@ -29,7 +36,7 @@ _WEIGHT_TOL = 1e-9
 _KMEANS_ITERS = 100
 _KMEANS_TOL = 1e-6
 _SKIP_REL, _SKIP_FLOOR = 1e-9, 1e-150  # margins of the bounded Lloyd skip test
-_CELLS = 1 << 20  # most (region, threshold, measure) cells one search block holds
+_TIE_EPS = 4 * np.finfo(float).eps  # tie margin per measure: tau = n * _TIE_EPS
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,8 @@ def _check_weights(w, n):
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError("weight vector length mismatch")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        raise ValueError("weights must be finite, nonnegative and sum to 1")
     return w
 
 
@@ -85,14 +92,47 @@ def default_thresholds(masses: np.ndarray) -> np.ndarray:
     return np.sort(np.hstack([qs, (qs[:, :-1] + qs[:, 1:]) / 2.0]), axis=1)
 
 
+class ThresholdRanks(NamedTuple):
+    """Each region's thresholds placed among its masses (`rank_thresholds`).
+    Masses and thresholds do not change between boosting rounds, so a fit
+    ranks them once and every round's `exhaustive_search` reuses it."""
+
+    thresholds: np.ndarray  # (regions, T)
+    order: np.ndarray  # (regions, n): measures by increasing mass, ties in index order
+    le: np.ndarray  # (regions, T): how many of the region's masses are <= the threshold
+    lt: np.ndarray  # (regions, T): how many are < the threshold
+
+
+def rank_thresholds(masses, thresholds) -> ThresholdRanks:
+    """Rank each row of masses against its row of thresholds with exact
+    comparisons only: one rank over every value, offset per row so that one
+    stable argsort and two searchsorted calls serve all rows at once."""
+    masses, thr = np.asarray(masses, dtype=float), np.asarray(thresholds, dtype=float)
+    n_regions, n = masses.shape
+    values, rank = np.unique(np.concatenate([masses.ravel(), thr.ravel()]), return_inverse=True)
+    offset = len(values) * np.arange(n_regions)[:, None]  # row a's keys all lie below row a+1's
+    mkeys = rank[: masses.size].reshape(masses.shape) + offset
+    tkeys = rank[masses.size :].reshape(thr.shape) + offset
+    order = np.argsort(mkeys, axis=1, kind="stable")
+    ranked = np.take_along_axis(mkeys, order, axis=1).ravel()  # ascending, one row after another
+    start = n * np.arange(n_regions)[:, None]  # where each row begins in ranked
+    le = np.searchsorted(ranked, tkeys, side="right") - start
+    lt = np.searchsorted(ranked, tkeys, side="left") - start
+    return ThresholdRanks(thr, order, le, lt)
+
+
 def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray | None = None, thresholds=None):
     """Minimize the weighted 0-1 error over regions x thresholds x signs.
 
     masses (the regions' mass matrix over data) and thresholds (one row per
-    region, `default_thresholds` of the masses) are derived when None.  The
-    errors fill one (sign, region, threshold) array, sign +1 first; its first
-    minimum is the result, so ties break to sign +1, then the lower region
-    index, then the threshold that comes first in its row.
+    region, `default_thresholds` of the masses) are derived when None;
+    thresholds may also be their `rank_thresholds` against the masses, as a
+    fit reuses it across rounds.  The winner is the first cell in (sign,
+    region, threshold) order, sign +1 first, whose error is within
+    tau = n * 4 * eps of the least.  tau bounds the rounding of the error
+    sums, so ties in exact arithmetic go to sign +1, then the lower region
+    index, then the threshold that comes first in its row, whatever the
+    summation order or the memory layout of the masses.
 
     Returns (WeakClassifier, error, its region's masses over data).
     """
@@ -101,18 +141,28 @@ def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray 
     y = data.labels
     if masses is None:
         masses = mass_matrix(data.measures, regions)
-    thr = default_thresholds(masses) if thresholds is None else np.asarray(thresholds, dtype=float)
+    if not isinstance(thresholds, ThresholdRanks):
+        thresholds = rank_thresholds(masses, default_thresholds(masses) if thresholds is None else thresholds)
+    thr, order, le, lt = thresholds
     pos, neg = (y == 0) * w, (y == 1) * w  # loss of predicting 1, of predicting 0
-    errs = np.empty((2,) + thr.shape)
-    step = max(1, _CELLS // (thr.shape[1] * n))  # regions per block of temporaries
-    for lo in range(0, len(thr), step):
-        rows = slice(lo, lo + step)
-        # strict rule both ways: sign +1 predicts 1 iff m > t, sign -1 iff m < t
-        # (m == t predicts 0 in either orientation, matching predict())
-        m, t = masses[rows, None, :], thr[rows, :, None]
-        errs[0, rows] = np.where(m > t, pos, neg).sum(axis=2)
-        errs[1, rows] = np.where(m < t, pos, neg).sum(axis=2)
-    s, a, t = np.unravel_index(np.argmin(errs), errs.shape)
+    # cum[c, a, k]: class c's weight on region a's k smallest masses, summed in that order
+    cum = np.zeros((2, len(order), n + 1))
+    np.cumsum(np.stack([pos[order], neg[order]]), axis=2, out=cum[:, :, 1:])
+    (pos_le, neg_le), (pos_lt, neg_lt) = (np.take_along_axis(cum, k[None], axis=2) for k in (le, lt))
+    pos_all, neg_all = cum[:, :, -1:]
+    # strict rule both ways: sign +1 predicts 1 iff m > t, sign -1 iff m < t
+    # (m == t predicts 0 in either orientation, matching predict())
+    errs = np.stack([neg_le + (pos_all - pos_le), pos_lt + (neg_all - neg_lt)])
+    # Each error is two sums of class weights (nonnegative, total 1 within
+    # _WEIGHT_TOL), one of them a difference of two prefixes of one running
+    # sum: at most n + 1 roundings, each at most eps/2 of a value <= 1.  So
+    # every error lies within (n + 1) * eps/2 <= n * eps of its exact value,
+    # in any summation order, and two exactly tied cells lie within
+    # 2 * n * eps of each other: tau = 4 * n * eps holds them with room to
+    # spare.  Errors that differ exactly differ by far more while tau is far
+    # below the weights' spacing (1/n for uniform weights, n << 1e7).
+    tied = errs <= errs.min() + n * _TIE_EPS
+    s, a, t = np.unravel_index(np.argmax(tied), errs.shape)  # argmax: the first True
     return WeakClassifier(regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t]), masses[a]
 
 

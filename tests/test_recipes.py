@@ -133,15 +133,18 @@ def test_cached_learner_matches_uncached():
     rng = np.random.default_rng(2)
     ms = tuple(Measure(rng.uniform(size=(5, 2))) for _ in range(10))
     data = LabeledDataset(ms, rng.integers(0, 2, size=10))
-    grid = ball_grid([np.full(2, 0.5)], [0.3, 0.6])
+    grid = ball_grid([np.full(2, 0.3), np.full(2, 0.5), np.full(2, 0.7)], [0.3, 0.6])
     learner = make_cached_learner(grid, data)
-    cols = np.array([1, 4, 5, 8])
-    for sub, w, kw in ((data, np.full(10, 0.1), {}), (data.subset(cols), rng.dirichlet(np.ones(4)), {"cols": cols})):
-        h1, e1, row1 = learner(sub, w, **kw)
-        h2, e2, row2 = exhaustive_search(sub, grid, w)
-        assert e1 == e2
-        assert h1.to_json() == h2.to_json()
-        np.testing.assert_array_equal(row1, row2)
+    # several rounds with new weights on one column set, then on the next: a
+    # per-fit table reused across fits or gone stale across rounds differs
+    for cols in (None, np.array([1, 4, 5, 8]), np.array([0, 2, 3, 6, 7, 9]), np.array([0, 3, 7, 9])):
+        sub = data if cols is None else data.subset(cols)
+        for w in [np.full(len(sub), 1 / len(sub))] + [rng.dirichlet(np.ones(len(sub))) for _ in range(3)]:
+            h1, e1, row1 = learner(sub, w, cols=cols)
+            h2, e2, row2 = exhaustive_search(sub, grid, w)
+            assert e1 == e2
+            assert h1.to_json() == h2.to_json()
+            np.testing.assert_array_equal(row1, row2)
 
 
 def _three_class_train():

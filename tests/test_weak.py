@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,8 @@ def test_exhaustive_weighted():
     assert err == 0.0
     with pytest.raises(ValueError):
         exhaustive_search(data, grid, w=np.full(n, 1.0), thresholds=[[0.5]])  # does not sum to 1
+    with pytest.raises(ValueError, match="finite"):
+        exhaustive_search(data, grid, w=np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))], thresholds=[[0.5]])
 
 
 def _loop_thresholds(m):
@@ -118,32 +122,28 @@ def _loop_thresholds(m):
     return np.unique(np.concatenate([qs, (qs[:-1] + qs[1:]) / 2.0]))
 
 
-def _loop_search(data, grid, w, masses, thresholds):
-    """Reference: the per-region loop with its explicit tie key
-    (error, sign +1 first, region index, threshold index)."""
+def _direct_search(data, grid, w, masses, thresholds):
+    """Reference: every (sign, region, threshold) error as one math.fsum,
+    correctly rounded so that no summation order moves it, and the first
+    minimum in (sign +1 first, region index, threshold index) order."""
     n = len(data)
     w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=float)
-    y = data.labels
     best = None
-    for a, region in enumerate(grid):
-        m = masses[a]
-        thr = _loop_thresholds(m) if thresholds is None else np.asarray(thresholds[a], dtype=float)
-        err_plus = np.where(m[None, :] > thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
-        err_minus = np.where(m[None, :] < thr[:, None], (y == 0) * w, (y == 1) * w).sum(axis=1)
-        for sign_rank, errs, sign in ((0, err_plus, 1), (1, err_minus, -1)):
-            t = int(np.argmin(errs))
-            key = (float(errs[t]), sign_rank, a, t)
-            if best is None or key < best[0]:
-                best = (key, WeakClassifier(region, float(thr[t]), sign))
-    return best[1], best[0][0]
+    for sign in (1, -1):
+        for a, m in enumerate(masses):
+            thr = _loop_thresholds(m) if thresholds is None else np.asarray(thresholds[a], dtype=float)
+            for t in thr:
+                err = math.fsum(w[(sign * (m - t) > 0) != (data.labels == 1)])
+                if best is None or err < best[0]:
+                    best = (err, WeakClassifier(grid[a], float(t), sign))
+    return best[1], best[0]
 
 
-@given(st.integers(0, 2**31 - 1), st.sampled_from([1, 50, 1 << 20]))
+@given(st.integers(0, 2**31 - 1))
 @settings(max_examples=150, deadline=None)
-def test_exhaustive_search_matches_region_loop(seed, cells):
+def test_exhaustive_search_matches_region_loop(seed):
     # integer masses and given threshold rows (unsorted, with repeats) make
-    # ties in error, threshold and region common; small _CELLS split the
-    # regions over several blocks
+    # ties in error, threshold and region common
     rng = np.random.default_rng(seed)
     n, n_regions = int(rng.integers(1, 30)), int(rng.integers(1, 20))
     if rng.random() < 0.5:
@@ -154,14 +154,36 @@ def test_exhaustive_search_matches_region_loop(seed, cells):
     grid = tuple(Ball(np.zeros(2), float(r + 1)) for r in range(n_regions))
     data = LabeledDataset(tuple(unit([[0, 0]]) for _ in range(n)), rng.integers(0, 2, size=n))
     w = None if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
-    want, want_err = _loop_search(data, grid, w, masses, thresholds)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weak, "_CELLS", cells)
-        got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses, thresholds=thresholds)
+    want, want_err = _direct_search(data, grid, w, masses, thresholds)
+    got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses, thresholds=thresholds)
     assert got.region is want.region
-    assert (got.threshold, got.sign, got_err) == (want.threshold, want.sign, want_err)
+    assert (got.threshold, got.sign) == (want.threshold, want.sign)
+    assert abs(got_err - want_err) <= n * weak._TIE_EPS
     a = next(a for a, region in enumerate(grid) if region is want.region)
     np.testing.assert_array_equal(got_row, masses[a])
+
+
+def test_tie_rule_does_not_depend_on_rounding():
+    # uniform weights 1/120: equal miss counts give errors that differ in the
+    # last bit with the summation order; the choice must follow the counts,
+    # in C and in Fortran layout alike
+    thresholds = np.tile(np.arange(6) + 0.5, (30, 1))
+    grid = tuple(Ball(np.zeros(2), float(r + 1)) for r in range(30))
+    signs = np.array([1, -1])[:, None, None, None]
+    for seed, want in ((3, (1, 13, 3.5)), (52, (1, 9, 3.5)), (92, (-1, 1, 0.5))):
+        rng = np.random.default_rng(seed)
+        masses = rng.integers(0, 6, size=(30, 120)).astype(float)
+        labels = rng.integers(0, 2, 120)
+        data = LabeledDataset(tuple(unit([[0, 0]]) for _ in range(120)), labels)
+        predicted = signs * (masses[None, :, None, :] - thresholds[None, :, :, None]) > 0
+        misses = (predicted != (labels == 1)).sum(axis=3)  # exact, per (sign, region, threshold)
+        s, a, t = np.unravel_index(np.argmin(misses), misses.shape)
+        assert (1 - 2 * s, a, thresholds[a, t]) == want
+        for m in (masses, np.asfortranarray(masses)):
+            h, err, row = exhaustive_search(data, grid, masses=m, thresholds=thresholds)
+            assert h.region is grid[a] and (h.sign, h.threshold) == (1 - 2 * s, thresholds[a, t])
+            assert err == pytest.approx(misses[s, a, t] / 120, abs=1e-12)
+            np.testing.assert_array_equal(row, masses[a])
 
 
 def test_default_thresholds_cover_extremes():
