@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen
 from .boosting import Ensemble, OneVsOneModel
-from .measures import LabeledDataset, load_dataset_jsonl, require_fields, save_dataset_jsonl, Measure
+from .measures import LabeledDataset, Measure, _malformed, load_dataset_jsonl, require_fields, save_dataset_jsonl
 from .metrics import evaluate
 from .ph import cech_filtration, persistence, rips_filtration
 from .ph.bottleneck import bottleneck
@@ -63,28 +63,32 @@ _LABELED = {"cloud": int, "label": int}  # the meta fields of training and evalu
 
 
 def _group_diagrams(path, fields):
-    """Diagrams JSONL with cloud (and label) meta -> (per-cloud diagram lists, labels).
+    """Diagrams JSONL with cloud (and label) meta -> (cloud ids, per-cloud
+    diagram lists, labels), in increasing cloud id.
 
-    `fields` are the meta keys every record must carry, with their converters.
+    `fields` are the meta keys every record must carry, with their
+    converters; the records of one cloud must agree on a required label.
     """
     diagrams, metas = load_diagrams_jsonl(path)
     groups, labels = {}, {}
     for index, (dg, meta) in enumerate(zip(diagrams, metas), 1):
         require_fields(meta, fields, path, index)
-        groups.setdefault(meta["cloud"], []).append(dg)
-        labels[meta["cloud"]] = meta.get("label")
-    order = sorted(groups)
-    return [groups[i] for i in order], [labels[i] for i in order]
+        cloud = meta["cloud"]
+        groups.setdefault(cloud, []).append(dg)
+        if "label" in fields and labels.setdefault(cloud, meta["label"]) != meta["label"]:
+            raise _malformed(path, index, "label", f"cloud {cloud} has label {labels[cloud]} in an earlier record")
+    ids = sorted(groups)
+    return ids, [groups[i] for i in ids], [labels.get(i) for i in ids]
 
 
 def _features(path, dims, truncation, fields=_LABELED):
-    per_cloud, labels = _group_diagrams(path, fields)
+    ids, per_cloud, labels = _group_diagrams(path, fields)
     meas = [diagrams_to_feature_measure(d, tuple(dims), truncation) for d in per_cloud]
-    return meas, labels
+    return ids, meas, labels
 
 
 def _train(args) -> int:
-    meas, labels = _features(args.input, args.dims, args.truncation)
+    _, meas, labels = _features(args.input, args.dims, args.truncation)
     data = LabeledDataset(tuple(meas), np.array(labels))
     model = fit_classifier(data, args.n_centers, args.radius_quantiles, args.rounds, args.seed)
     kind = "one-vs-one" if isinstance(model, OneVsOneModel) else "binary"
@@ -101,17 +105,17 @@ def _load_model(path):
 
 def _predict(args) -> int:
     model = _load_model(args.model)
-    meas, _ = _features(args.input, args.dims, args.truncation, {"cloud": int})
+    ids, meas, _ = _features(args.input, args.dims, args.truncation, {"cloud": int})
     preds = classifier_predict(model, meas)
     with open(args.out, "w") as fh:
-        for i, y in enumerate(preds):
-            fh.write(json.dumps({"cloud": i, "prediction": int(y)}) + "\n")
+        for cloud, y in zip(ids, preds):
+            fh.write(json.dumps({"cloud": cloud, "prediction": int(y)}) + "\n")
     return 0
 
 
 def _eval(args) -> int:
     model = _load_model(args.model)
-    meas, labels = _features(args.input, args.dims, args.truncation)
+    _, meas, labels = _features(args.input, args.dims, args.truncation)
     report = evaluate(np.array(labels), classifier_predict(model, meas))
     if args.out:
         report.save(args.out)

@@ -11,17 +11,20 @@ the pairs a KD-tree finds within twice max_value (every pair at infinity),
 or the Delaunay edges below, so a build holds no n x n distance matrix;
 each candidate is valued exactly, one coordinate at a time.  One vectorized
 loop builds every higher dimension from the one below, and a candidate is
-kept iff all of its facets were kept and its value is <= max_value.  The
-candidates of every dimension, edges included, are counted against a
-budget before any candidate array is built.  Rips extends each kept simplex
-by every higher vertex adjacent to all of its vertices.  Cech, on 2-D and
-3-D clouds of more than max(d, max_dim) + 1 points with max_dim >= 2,
-takes its edges and candidates from the faces of the Delaunay
-triangulation instead: the Cech and Delaunay-Cech filtrations have the
-same persistence (Bauer and Edelsbrunner, The Morse theory of Cech and
-Delaunay complexes, 2017), with far fewer simplices.  It falls back to
-every common neighbour on a cloud with a repeated point and when Qhull
-cannot be trusted with the cloud: a closest pair below sqrt(eps) times the
+kept iff all of its facets were kept and its value is <= max_value.  Rips
+extends each kept simplex (f0, ..., fk-1) by the last vertex v of every
+kept simplex (f1, ..., fk-1, v): on the sorted rows those form one run,
+so the candidates are a join of the rows with themselves, which holds
+every higher common neighbour, and no n x n edge mask is built.  The
+candidates of every dimension, edges and join candidates included, are
+counted against a budget before any candidate array is built.  Cech, on
+2-D and 3-D clouds of more than max(d, max_dim) + 1 points with
+max_dim >= 2, takes its edges and candidates from the faces of the
+Delaunay triangulation instead: the Cech and Delaunay-Cech filtrations
+have the same persistence (Bauer and Edelsbrunner, The Morse theory of
+Cech and Delaunay complexes, 2017), with far fewer simplices.  It falls
+back to the join on a cloud with a repeated point and when Qhull cannot
+be trusted with the cloud: a closest pair below sqrt(eps) times the
 bounding box diagonal, a Qhull error or a point left out (see
 `_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
 their full complex, with the top simplex sorted last.  Tetrahedra are
@@ -39,8 +42,9 @@ import numpy as np
 __all__ = ["FilteredComplex", "cech_filtration", "rips_filtration", "miniball_radius"]
 
 _JITTER_SEED = 715517
-_BUDGET = 5_000_000  # most candidate simplices of one dimension a build may enumerate
-_BLOCK = 1024  # faces masked at a time when counting and listing candidates
+# most candidate simplices of one dimension a build may list: edges, then the
+# join or Delaunay candidates of `_cofaces`, each counted before it is listed
+_BUDGET = 5_000_000
 _ROWS = 1 << 16  # tetrahedra whose miniballs are solved at a time
 
 
@@ -270,18 +274,18 @@ def _edges(points, max_value, cells):
     return pairs[keep], values[keep]
 
 
-def _cofaces(points, faces, values, up, max_value, value_fn, cells):
+def _cofaces(points, faces, values, max_value, value_fn, cells):
     """Kept simplices one dimension above `faces`, with their values.
 
     faces holds the kept simplices of one dimension as lexicographically
-    sorted rows of increasing vertex indices, values their filtration values;
-    up[u, v] is True iff u < v and the edge uv was kept (read only when cells
-    is None).  The candidates are the faces of the Delaunay `cells` one vertex
-    larger, or, when cells is None, each face extended by every higher vertex
-    adjacent to all of its vertices.  A candidate is kept iff all of its
-    facets were kept and its value, raised to the facet maximum, is <=
-    max_value.  The rows returned are again sorted, so they can serve as
-    `faces` one dimension up.
+    sorted rows of increasing vertex indices, values their filtration values.
+    A candidate is a face and a new vertex v above its last: the faces of the
+    Delaunay `cells` one vertex larger or, when cells is None, the face
+    (f0, ..., fk-1) with the last vertex v of every kept face (f1, ..., fk-1,
+    v), a join of the rows with themselves that lists every higher common
+    neighbour.  A candidate is kept iff all of its facets were kept and its
+    value, raised to the facet maximum, is <= max_value.  The rows returned
+    are again sorted, so they can serve as `faces` one dimension up.
     """
     n, k = len(points), faces.shape[1]
     codes = _codes(faces, n)
@@ -293,48 +297,31 @@ def _cofaces(points, faces, values, up, max_value, value_fn, cells):
         return at, codes[at] == code
 
     if cells is None:
-        starts = range(0, len(faces), _BLOCK)
-
-        def candidates(start):
-            block = faces[start : start + _BLOCK]
-            mask = up[block[:, 0]]
-            for col in block.T[1:]:
-                mask &= up[col]
-            return mask
-
-        count = sum(int(np.count_nonzero(candidates(start))) for start in starts)
-
-        def extensions():  # (face row, new vertex) of every candidate
-            for start in starts:
-                rows, vertex = np.nonzero(candidates(start))
-                yield rows + start, vertex
-
+        # the faces (f1, ..., fk-1, v) of a face are one run of the sorted rows
+        heads, tails = _codes(faces[:, :-1], n), _codes(faces[:, 1:], n)
+        lo = np.searchsorted(heads, tails)
+        runs = np.searchsorted(heads, tails, side="right") - lo
+        _check_budget(int(runs.sum()), k)
+        rows = np.repeat(np.arange(len(faces)), runs)
+        starts = np.cumsum(runs) - runs  # where each face's candidates begin in rows
+        vertex = faces[np.repeat(lo - starts, runs) + np.arange(len(rows)), -1]
     else:
         cand = _cell_faces(cells, k + 1, n)
-        count = len(cand)
-
-        def extensions():
-            rows, found = lookup(cand[:, :k])
-            yield rows[found], cand[found, k]
-
-    _check_budget(count, k)
+        _check_budget(len(cand), k)
+        rows, found = lookup(cand[:, :k])
+        rows, vertex = rows[found], cand[found, k]
+    cand = np.concatenate([faces[rows], vertex[:, None]], axis=1)
+    vals, keep = values[rows], np.ones(len(cand), dtype=bool)
     # the facets through the new vertex; the one without it is the face
-    through_new = list(itertools.combinations(range(k + 1), k))[1:]
-    kept, kept_values = [], []
-    for rows, vertex in extensions():
-        cand = np.concatenate([faces[rows], vertex[:, None]], axis=1)
-        vals, keep = values[rows], np.ones(len(cand), dtype=bool)
-        for columns in through_new:
-            at, found = lookup(cand[:, columns])
-            keep &= found
-            vals = np.maximum(vals, values[at])
-        cand, vals = cand[keep], vals[keep]
-        if value_fn is not None:
-            vals = np.maximum(value_fn(points, cand), vals)
-        keep = vals <= max_value
-        kept.append(cand[keep])
-        kept_values.append(vals[keep])
-    return np.concatenate(kept), np.concatenate(kept_values)
+    for columns in list(itertools.combinations(range(k + 1), k))[1:]:
+        at, found = lookup(cand[:, columns])
+        keep &= found
+        vals = np.maximum(vals, values[at])
+    cand, vals = cand[keep], vals[keep]
+    if value_fn is not None:
+        vals = np.maximum(value_fn(points, cand), vals)
+    keep = vals <= max_value
+    return cand[keep], vals[keep]
 
 
 def _build_filtration(points, max_dim, max_value, value_fn):
@@ -358,15 +345,11 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         if cells is not None:
             top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
         faces, values = _edges(points, max_value, cells)
-        up = None
-        if cells is None and top >= 2:  # the common-neighbour candidates read the edges as a mask
-            up = np.zeros((n, n), dtype=bool)
-            up[faces[:, 0], faces[:, 1]] = True
         for dim in range(1, top + 1):
             if dim > 1:
                 if not len(faces):
                     break
-                faces, values = _cofaces(points, faces, values, up, max_value, value_fn, cells)
+                faces, values = _cofaces(points, faces, values, max_value, value_fn, cells)
             simplices.extend(zip(map(tuple, faces.tolist()), values.tolist()))
     simplices.sort(key=_sort_key)
     return FilteredComplex(tuple(simplices), max_dim=max_dim)

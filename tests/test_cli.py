@@ -202,9 +202,12 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field)
         ("bottleneck", ['{"dim": 1, "pairs": [[0.2, NaN]]}'], 1, "pairs"),
         ("train", ['{"dim": 1, "pairs": [[0.1, 0.4]], "cloud": 0, "label": 0}',
                    '{"dim": 1, "pairs": [[NaN, 1.0], [0.2, 0.5]], "cloud": 1, "label": 1}'], 2, "pairs"),
+        ("train", ['{"dim": 0, "pairs": [[0.0, 0.4]], "cloud": 0, "label": 0}',
+                   '{"dim": 0, "pairs": [[0.0, 0.5]], "cloud": 1, "label": 1}',
+                   '{"dim": 1, "pairs": [[0.1, 0.4]], "cloud": 0, "label": 1}'], 3, "label"),
     ],
     ids=["weights-string", "weights-negative", "weights-length", "birth-after-death", "mixed-dimensions",
-         "birth-nan", "birth-minus-inf", "death-nan", "train-birth-nan"],
+         "birth-nan", "birth-minus-inf", "death-nan", "train-birth-nan", "train-conflicting-labels"],
 )
 def test_malformed_field_names_file_record_and_field(tmp_path, capsys, command, lines, index, field):
     bad = tmp_path / "bad.jsonl"
@@ -238,6 +241,28 @@ def test_labels_are_required_to_train_and_evaluate_only(tmp_path, capsys):
     assert run(["predict", "--model", str(model), "--input", str(dgms), "--out", str(preds),
                 "--dims", "0"]) == 0
     assert [json.loads(line)["cloud"] for line in preds.read_text().splitlines()] == [0, 1]
+
+
+def test_predict_keeps_the_input_cloud_ids(tmp_path):
+    _, dgms = _orbit_diagrams(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--input", str(dgms), "--out", str(model), "--rounds", "2",
+                "--n-centers", "3", "--dims", "0"]) == 0
+    contiguous = tmp_path / "contiguous.jsonl"
+    assert run(["predict", "--model", str(model), "--input", str(dgms), "--out", str(contiguous),
+                "--dims", "0"]) == 0
+    rows = [json.loads(line) for line in dgms.read_text().splitlines()]
+    for r in rows:
+        r["cloud"] = {0: 9, 1: 7}[r["cloud"]]
+    dgms.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    renamed = tmp_path / "renamed.jsonl"
+    assert run(["predict", "--model", str(model), "--input", str(dgms), "--out", str(renamed),
+                "--dims", "0"]) == 0
+    want = [json.loads(line) for line in contiguous.read_text().splitlines()]
+    got = [json.loads(line) for line in renamed.read_text().splitlines()]
+    # one row per cloud in increasing id, each with the prediction of its diagrams
+    assert [r["cloud"] for r in got] == [7, 9]
+    assert [r["prediction"] for r in got] == [want[1]["prediction"], want[0]["prediction"]]
 
 
 @pytest.mark.parametrize("dims, cause", [("1", "sit on k-means centers"), ("2", "no training measure has a support point")])
@@ -291,10 +316,12 @@ def _ph_peak(tmp_path, pts, *options):
 def test_ph_over_budget_fails_before_allocating(tmp_path, capsys):
     # C(400, 3) > 10^7 candidate triangles; the guard must fire before their
     # arrays (hundreds of MB) exist.  Rips keeps every candidate, and Cech
-    # does too on collinear points, where Qhull fails
+    # does too on collinear points, where Qhull fails.  On 110 points the
+    # C(110, 4) > 5 * 10^6 tetrahedra are counted from the triangle join
     uniform = np.random.default_rng(0).uniform(0, 1, size=(400, 3))
     collinear = np.linspace(0, 1, 400)[:, None] * np.array([1.0, 2.0, -1.0])
-    for pts, options in ((uniform, ["--complex", "rips"]), (collinear, [])):
+    rips = ["--complex", "rips"]
+    for pts, options in ((uniform, rips), (collinear, []), (uniform[:110], [*rips, "--max-dim", "3"])):
         code, peak = _ph_peak(tmp_path, pts, *options)
         assert code == 5
         assert "budget" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,12 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
     st.sampled_from([0.3, 0.6, 1.0, np.inf]),
     st.sampled_from(["cech", "rips"]),
 )
+# every 4-subset of 7 points is a candidate of the join
+@example(np.column_stack([np.arange(7.0), np.arange(7.0) ** 2 / 6]), 3, np.inf, "rips")
+# a repeated point makes Cech fall back to the join, whose candidate (0, 1, 2) lacks the edge 02;
+# Rips keeps such a candidate if the facet test is left out, Cech drops it by its radius
+@example(np.array([[0, 0], [0.5, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0, 0.5], [0, 0]]), 3, 0.3, "cech")
+@example(np.array([[0, 0], [0.5, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0, 0.5], [0, 0]]), 3, 0.3, "rips")
 @settings(max_examples=300, deadline=None)
 def test_builders_match_all_subsets_enumeration(pts, max_dim, max_value, kind):
     assert_matches_enumeration(pts, max_dim, max_value, kind)
@@ -360,6 +367,21 @@ def test_pair_search_matches_the_distance_matrix(pts, max_value, scale):
     i, j = np.nonzero(np.triu(half <= max_value, 1))
     assert np.array_equal(edges, np.column_stack([i, j]))
     assert np.array_equal(values, half[i, j])
+
+
+@pytest.mark.parametrize("n, max_value, bound", [(6000, 0.002, 8e6), (20_000, 0.005, 100e6)])
+def test_rips_build_holds_no_edge_mask(n, max_value, bound):
+    # the candidates come from a join of the sorted edge rows: an n x n edge
+    # mask alone would take 36 MB at 6000 points and 400 MB at 20 000
+    pts = np.random.default_rng(0).uniform(0, 1, (n, 2))
+    rips_filtration(pts[:10], 2, max_value)  # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        rips_filtration(pts, 2, max_value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_planar_cloud_has_no_h2():
