@@ -4,8 +4,8 @@ Exact computation: binary search over the finite set of candidate distances
 (point-to-point l-infinity distances and point-to-diagonal distances).  A
 candidate is feasible iff the point-to-point graph within it has a matching
 that covers every point farther than it from the diagonal; the diagonal
-never enters the graph, and breadth-first augmenting paths find the
-matching without recursion.  Points with infinite death must pair with
+never enters the graph, and Hopcroft-Karp (`scipy.sparse.csgraph`) finds
+the matching without recursion.  Points with infinite death must pair with
 infinite-death points of the other diagram; the distance is +inf when that
 is impossible.
 """
@@ -30,43 +30,17 @@ def _diag_dist(pairs):
 
 
 def _linf(pairs_a, pairs_b):
-    if len(pairs_a) == 0 or len(pairs_b) == 0:
-        return np.empty((len(pairs_a), len(pairs_b)))
     return np.max(np.abs(pairs_a[:, None, :] - pairs_b[None, :, :]), axis=-1)
 
 
-def _match_all(adj, rows) -> bool:
-    """Is there a matching of the bipartite graph `adj` (rows x columns)
-    that covers every row in `rows`?
+def _covers(adj, rows) -> bool:
+    """Does one matching of the bipartite graph `adj` (rows x columns) cover
+    every row in `rows`?  A maximum matching of those rows (Hopcroft-Karp)
+    answers it."""
+    from scipy.sparse import csr_matrix  # slow to import: only here
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    Kuhn's augmenting paths, grown breadth-first one layer of columns at a
-    time; `came_from[c]` is the row whose edge first reached column c, so a
-    path is flipped by walking back from its free end.  A row with no
-    augmenting path ends the search: no matching covers it and the rows
-    before it.
-    """
-    match_col = np.full(adj.shape[1], -1)  # row matched to each column
-    match_row = np.full(adj.shape[0], -1)  # column matched to each row
-    for row in rows:
-        came_from = np.full(adj.shape[1], -1)
-        frontier = np.array([row])
-        while True:
-            reach = adj[frontier]
-            cols = np.flatnonzero(reach.any(axis=0) & (came_from < 0))
-            if len(cols) == 0:
-                return False
-            came_from[cols] = frontier[reach[:, cols].argmax(axis=0)]
-            free = cols[match_col[cols] < 0]
-            if len(free):
-                break
-            frontier = match_col[cols]
-        col = free[0]
-        while col >= 0:  # flip the path; it ends at `row`, matched to -1
-            r = came_from[col]
-            before = match_row[r]
-            match_col[col], match_row[r] = r, col
-            col = before
-    return True
+    return bool(np.all(maximum_bipartite_matching(csr_matrix(adj[rows]), perm_type="column") >= 0))
 
 
 def _feasible(cost, diag_a, diag_b, delta) -> bool:
@@ -79,7 +53,7 @@ def _feasible(cost, diag_a, diag_b, delta) -> bool:
     (Mendelsohn-Dulmage).
     """
     adj = cost <= delta
-    return _match_all(adj, np.flatnonzero(diag_a > delta)) and _match_all(
+    return _covers(adj, np.flatnonzero(diag_a > delta)) and _covers(
         adj.T, np.flatnonzero(diag_b > delta)
     )
 

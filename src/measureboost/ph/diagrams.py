@@ -58,16 +58,20 @@ class PersistenceDiagram:
 def diagram_to_measure(diagram: PersistenceDiagram, truncation: float | None = None) -> Measure:
     """Unit-weight measure on the plane with one point (b, d - b) per pair.
 
-    Infinite deaths are replaced by `truncation` before rotating; without a
-    finite truncation value they are an error.
+    Infinite deaths are replaced by `truncation` before rotating, which must
+    then be finite and no smaller than their largest birth.
     """
     pairs = np.array(diagram.pairs, dtype=float)
-    if np.any(np.isinf(pairs[:, 1])):
+    inf = np.isinf(pairs[:, 1])
+    if np.any(inf):
         if truncation is None:
             raise ValueError("diagram has infinite deaths; pass a truncation value")
         if not math.isfinite(truncation):
             raise ValueError(f"truncation must be finite to replace infinite deaths, got {truncation}")
-        pairs[np.isinf(pairs[:, 1]), 1] = truncation
+        birth = pairs[inf, 0].max()
+        if truncation < birth:
+            raise ValueError(f"truncation {truncation} is below the birth {birth} of an infinite death")
+        pairs[inf, 1] = truncation
     return Measure(np.column_stack([pairs[:, 0], pairs[:, 1] - pairs[:, 0]]))
 
 

@@ -25,33 +25,26 @@ def _reduce_block(cols, row_index, cleared):
     row_index: position of each (k-1)-simplex in filtration order.
     cleared: column positions known to be births (skipped).
 
-    Returns (pairs, positive, birth_rows): pairs are (row_pos, col_pos),
-    positive the column positions that reduced to zero, birth_rows the set
-    of paired row positions.
+    Returns {column position: pivot row position} for the columns that do
+    not reduce to zero, in column order; each is a finite pair.
     """
     pivot_col = {}
-    pairs = []
-    positive = []
+    pivots = {}
     for j, (verts, _value) in enumerate(cols):
         if j in cleared:
-            positive.append(j)
             continue
         col = 0
-        k = len(verts)
-        for skip in range(k):
-            face = verts[:skip] + verts[skip + 1 :]
-            col ^= 1 << row_index[face]
+        for skip in range(len(verts)):
+            col ^= 1 << row_index[verts[:skip] + verts[skip + 1 :]]
         while col:
             low = col.bit_length() - 1
             other = pivot_col.get(low)
             if other is None:
                 pivot_col[low] = col
-                pairs.append((low, j))
+                pivots[j] = low
                 break
             col ^= other
-        else:
-            positive.append(j)
-    return pairs, positive, set(low for low, _ in pairs)
+    return pivots
 
 
 def persistence(
@@ -59,43 +52,37 @@ def persistence(
 ) -> list[PersistenceDiagram]:
     """Persistence diagrams of a filtration, dimensions 0 .. max_dim - 1.
 
-    Unpaired positive simplices give death = +inf.  Zero-length pairs
-    (birth == death) are dropped unless `include_zero_length`.
+    One pass from the top block down (Chen & Kerber's twist): block k gives
+    the finite pairs of H_{k-1}, and its pivot rows are the births of those
+    pairs, so block k-1 skips their columns.  The k-simplices that are
+    neither such a birth nor a pivot column of block k give death = +inf.
+    Zero-length pairs (birth == death) are dropped unless
+    `include_zero_length`.
     """
     groups = fc.by_dim()
-    max_dim = fc.max_dim
-    # pairs_by_dim[k]: list of (birth_value, death_value) for H_k
-    pairs_by_dim = {k: [] for k in range(max_dim)}
-    positive_by_dim = {}
-    birth_rows_by_dim = {}
-    cleared = set()
-    for k in range(max_dim, 0, -1):
-        rows, cols = groups[k - 1], groups[k]
-        row_index = {verts: i for i, (verts, _v) in enumerate(rows)}
-        pairs, positive, birth_rows = _reduce_block(cols, row_index, cleared)
-        positive_by_dim[k] = set(positive)
-        birth_rows_by_dim[k] = birth_rows
-        for low, j in pairs:
-            pairs_by_dim[k - 1].append((rows[low][1], cols[j][1]))
-        cleared = birth_rows
-    positive_by_dim[0] = set(range(len(groups[0])))
+    found = [[] for _ in range(fc.max_dim)]  # (birth, death) of H_0 .. H_{max_dim-1}
+    killed = set()
+    for k in range(fc.max_dim, -1, -1):
+        pivots = {}
+        if k:
+            rows, cols = groups[k - 1], groups[k]
+            row_index = {verts: i for i, (verts, _v) in enumerate(rows)}
+            pivots = _reduce_block(cols, row_index, killed)
+            found[k - 1] += [(rows[low][1], cols[j][1]) for j, low in pivots.items()]
+        if k < fc.max_dim:
+            found[k] += [
+                (value, np.inf)
+                for j, (_verts, value) in enumerate(groups[k])
+                if j not in killed and j not in pivots
+            ]
+        killed = set(pivots.values())
 
     diagrams = []
-    for k in range(max_dim):
-        finite = pairs_by_dim[k]
-        killed = birth_rows_by_dim.get(k + 1, set())
-        essential = [
-            (groups[k][j][1], np.inf)
-            for j in sorted(positive_by_dim.get(k, set()))
-            if j not in killed
-        ]
-        all_pairs = finite + essential
+    for k, pairs in enumerate(found):
         if not include_zero_length:
-            all_pairs = [(b, d) for b, d in all_pairs if b != d]
-        all_pairs.sort()
-        diagrams.append(
-            PersistenceDiagram(k, np.array(all_pairs, dtype=float).reshape(-1, 2))
-        )
+            pairs = [(b, d) for b, d in pairs if b != d]
+        pairs.sort()
+        diagrams.append(PersistenceDiagram(k, np.array(pairs, dtype=float).reshape(-1, 2)))
     return diagrams
 
 

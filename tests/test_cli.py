@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import measureboost
 from measureboost.cli import main
 from measureboost.measures import LabeledDataset, Measure, load_dataset_jsonl, save_dataset_jsonl
 from measureboost.ph.diagrams import load_diagrams_jsonl
@@ -302,6 +306,8 @@ def test_bad_model_json_is_io_error(tmp_path):
 
 def _ph_peak(tmp_path, pts, *options):
     """Exit code and tracemalloc peak of CLI ph on one cloud at the default --max-value inf."""
+    import scipy.spatial  # the build imports it lazily: keep that import out of the peak
+
     data = tmp_path / "d.jsonl"
     save_dataset_jsonl(LabeledDataset((Measure(pts),), np.array([0])), data)
     tracemalloc.start()
@@ -445,3 +451,13 @@ def test_recipe_alias_rademacher(tmp_path, capsys):
     cfg.write_text("[data]\nsizes = 20 40\nn_draws = 40\n")
     assert run(["rademacher", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
     assert (tmp_path / "rademacher.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes about half a second to import, so ph/ imports it only in
+    # the functions that use it; every CLI start would pay it otherwise
+    src = os.path.dirname(os.path.dirname(measureboost.__file__))
+    code = "import sys, measureboost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"

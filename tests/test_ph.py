@@ -412,13 +412,15 @@ def test_delaunay_cech_keeps_every_delaunay_face_at_inf():
 
 
 @given(st.integers(0, 2**31 - 1))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_diagram_counts_match_betti_oracle(seed):
+    # Rips, a finite max_value or a low max_dim leaves classes above H0 unkilled
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 8))
     d = int(rng.choice([2, 3]))
     pts = rng.uniform(0, 1, size=(n, d))
-    fc = cech_filtration(pts, max_dim=min(d + 1, 3), max_value=np.inf)
+    build = rips_filtration if rng.integers(2) else cech_filtration
+    fc = build(pts, max_dim=int(rng.integers(1, 4)), max_value=float(rng.choice([np.inf, 0.3, 0.45])))
     dgms = persistence(fc, include_zero_length=True)
     scales = np.linspace(0.05, 1.2, 7)
     for dg in dgms:
@@ -491,6 +493,10 @@ def test_diagram_to_measure_requires_truncation_for_inf():
     dg = PersistenceDiagram(0, np.array([[0.0, np.inf]]))
     with pytest.raises(ValueError):
         diagram_to_measure(dg)
+    # a truncation below an infinite death's birth would put a death before its birth
+    dg = PersistenceDiagram(1, np.array([[0.5, 1.0], [2.5, np.inf], [1.0, np.inf]]))
+    with pytest.raises(ValueError, match="truncation 2.0 is below the birth 2.5 of an infinite death"):
+        diagram_to_measure(dg, 2.0)
 
 
 def test_diagrams_jsonl_roundtrip(tmp_path):
