@@ -4,7 +4,9 @@ wrapper for multiclass problems.
 Discrete AdaBoost (Freund-Schapire): round weights start uniform, the weak
 learner `learner(data, weights)` is fit on the full dataset under the
 current weights, and examples are reweighted by exp(+-alpha).  Stage weights
-are capped by clamping the round error away from 0 and 1.
+are capped by clamping the round error away from 0 and 1.  A one-vs-one fit
+asks `learner_for(cols)` for each class pair's learner, cols being the
+pair's positions in the data.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -165,16 +166,16 @@ class OneVsOneModel:
         return OneVsOneModel(models, tuple(obj["labels"]))
 
 
-def one_vs_one_fit(data: LabeledDataset, rounds: int, learner: Callable) -> OneVsOneModel:
-    """One `adaboost_fit` per class pair, whose learner also gets cols=, the
-    pair's positions in data."""
+def one_vs_one_fit(data: LabeledDataset, rounds: int, learner_for: Callable) -> OneVsOneModel:
+    """One `adaboost_fit` per class pair, on data.subset(cols) with the
+    learner learner_for(cols), cols being the pair's positions in data."""
     labels = data.label_set
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
     models = {}
     for a, b in combinations(labels, 2):
         cols = np.nonzero(np.isin(data.labels, (a, b)))[0]
-        models[(a, b)] = adaboost_fit(data.subset(cols), rounds, partial(learner, cols=cols))
+        models[(a, b)] = adaboost_fit(data.subset(cols), rounds, learner_for(cols))
     return OneVsOneModel(models, tuple(labels))
 
 

@@ -19,8 +19,10 @@ from .measures import LabeledDataset, Measure, _malformed, load_dataset_jsonl, r
 from .metrics import evaluate
 from .ph import cech_filtration, persistence, rips_filtration
 from .ph.bottleneck import bottleneck
-from .ph.diagrams import load_diagrams_jsonl, save_diagrams_jsonl
-from .recipes import RECIPES, ConfigError, classifier_predict, diagrams_to_feature_measure, fit_classifier, run_experiment
+from .ph.diagrams import load_diagrams_jsonl
+from .recipes import (
+    RECIPES, ConfigError, classifier_predict, diagrams_to_feature_measure, fit_classifier, run_experiment, save_cloud_diagrams
+)
 
 
 def _gen(args) -> int:
@@ -49,13 +51,9 @@ def _gen(args) -> int:
 def _ph(args) -> int:
     data = load_dataset_jsonl(args.input)
     build = rips_filtration if args.complex == "rips" else cech_filtration
-    flat, metas = [], []
-    for i, (mu, y) in enumerate(zip(data.measures, data.labels)):
-        fc = build(mu.points, max_dim=args.max_dim, max_value=args.max_value)
-        for dg in persistence(fc, include_zero_length=args.include_zero_length):
-            flat.append(dg)
-            metas.append({"cloud": i, "label": int(y)})
-    save_diagrams_jsonl(flat, args.output, metas)
+    fcs = (build(mu.points, max_dim=args.max_dim, max_value=args.max_value) for mu in data.measures)
+    per_cloud = [persistence(fc, include_zero_length=args.include_zero_length) for fc in fcs]
+    save_cloud_diagrams(per_cloud, data.labels, args.output)
     return 0
 
 
@@ -91,16 +89,16 @@ def _train(args) -> int:
     _, meas, labels = _features(args.input, args.dims, args.truncation)
     data = LabeledDataset(tuple(meas), np.array(labels))
     model = fit_classifier(data, args.n_centers, args.radius_quantiles, args.rounds, args.seed)
-    kind = "one-vs-one" if isinstance(model, OneVsOneModel) else "binary"
     with open(args.out, "w") as fh:
-        json.dump({"kind": kind, **model.to_json()}, fh, indent=2)
+        json.dump(model.to_json(), fh, indent=2)
     return 0
 
 
 def _load_model(path):
+    """A `train` or recipe model.json: one-vs-one iff it holds per-pair models."""
     with open(path) as fh:
         obj = json.load(fh)
-    return OneVsOneModel.from_json(obj) if obj.get("kind") == "one-vs-one" else Ensemble.from_json(obj)
+    return OneVsOneModel.from_json(obj) if "models" in obj else Ensemble.from_json(obj)
 
 
 def _predict(args) -> int:

@@ -15,7 +15,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +34,9 @@ from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
 from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
-from .weak import ball_grid, default_thresholds, exhaustive_search, kmeans_centers, rank_thresholds
+from .weak import ball_grid, grid_learner, kmeans_centers
 
-__all__ = ["ConfigError", "RunConfig", "run_experiment", "emit_rectangle_trace", "RECIPES"]
+__all__ = ["ConfigError", "run_experiment", "emit_rectangle_trace", "RECIPES"]
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +47,36 @@ class ConfigError(KeyError):
     """Unknown recipe, section or key, or a value unlike its default's type."""
 
 
-class RunConfig:
-    """Sectioned key/value run configuration with strict key validation.
-
-    Built from a recipe's defaults; an INI file may override values but may
-    not introduce sections or keys the recipe does not declare.
-    """
-
-    def __init__(self, defaults: dict):
-        self.sections = {s: dict(kv) for s, kv in defaults.items()}
-
-    def override_from_file(self, path) -> "RunConfig":
+def load_config(defaults: dict, config_path=None, overrides=None) -> dict:
+    """A recipe's {section: {key: value}} config: a copy of its defaults, then
+    the values of the INI file at config_path, then the in-memory overrides,
+    {(section, key): value}.  Neither may add a section or a key."""
+    cfg = {sec: dict(kv) for sec, kv in defaults.items()}
+    if config_path is not None:
         cp = ConfigParser()
-        with open(path) as fh:
+        with open(config_path) as fh:
             cp.read_file(fh)
         for sec in cp.sections():
-            if sec not in self.sections:
-                raise ConfigError(f"unknown config section [{sec}]")
-            for key, raw in cp.items(sec):
-                if key not in self.sections[sec]:
-                    raise ConfigError(f"unknown config key [{sec}] {key}")
-                try:
-                    self.sections[sec][key] = _parse_like(raw, self.sections[sec][key])
-                except (KeyError, ValueError):
-                    raise ConfigError(f"bad value for [{sec}] {key}: {raw!r}") from None
-        return self
+            _override(cfg, sec, cp.items(sec), parse=True)
+    for (sec, key), val in (overrides or {}).items():
+        _override(cfg, sec, [(key, val)])
+    return cfg
 
-    def __getitem__(self, section):
-        return self.sections[section]
+
+def _override(cfg, sec, items, parse=False):
+    """cfg[sec][key] = value for each (key, value) of items; with parse, the
+    values are raw INI strings, read with the type of the key's default."""
+    if sec not in cfg:
+        raise ConfigError(f"unknown config section [{sec}]")
+    for key, val in items:
+        if key not in cfg[sec]:
+            raise ConfigError(f"unknown config key [{sec}] {key}")
+        if parse:
+            try:
+                val = _parse_like(val, cfg[sec][key])
+            except (KeyError, ValueError):
+                raise ConfigError(f"bad value for [{sec}] {key}: {val!r}") from None
+        cfg[sec][key] = val
 
 
 def _parse_like(raw: str, default):
@@ -166,32 +167,21 @@ def build_ball_grid(train: LabeledDataset, n_centers, radius_quantiles, seed) ->
     return ball_grid(centers, radii)
 
 
-def make_cached_learner(grid, train: LabeledDataset):
-    """Exhaustive-search learner over train's one mass matrix on the grid,
-    called as learner(data, w, cols=None) with cols data's positions in train
-    (None: all of train).  Masses and thresholds do not change between
-    rounds, so a fit's, and their ranking, are taken once, when it starts."""
-    masses = mass_matrix(train.measures, grid)
-
-    @lru_cache(maxsize=1)  # the fit in progress
-    def columns(cols):
-        sub = masses if cols is None else masses[:, list(cols)]
-        return sub, rank_thresholds(sub, default_thresholds(sub))
-
-    def learner(data, w, cols=None):
-        return exhaustive_search(data, grid, w, *columns(None if cols is None else tuple(cols)))
-
-    return learner
-
-
 def fit_classifier(train: LabeledDataset, n_centers, radius_quantiles, rounds, seed, timings=None):
     """Boosted ball-mass classifier: one AdaBoost ensemble for two classes,
     one-vs-one ensembles for more.  `timings` gets the seconds spent on the
-    grid and its mass matrix (train_grid) and on boosting (train_boost)."""
+    grid and its mass matrix (train_grid) and on boosting (train_boost).
+
+    The grid's mass matrix over train is computed once; each fit (each
+    one-vs-one pair) boosts a `grid_learner` over its columns."""
     t0 = time.perf_counter()
-    learner = make_cached_learner(build_ball_grid(train, n_centers, radius_quantiles, seed + 7), train)
+    grid = build_ball_grid(train, n_centers, radius_quantiles, seed + 7)
+    masses = mass_matrix(train.measures, grid)
     t1 = time.perf_counter()
-    model = (one_vs_one_fit if len(train.label_set) > 2 else adaboost_fit)(train, rounds, learner)
+    if len(train.label_set) > 2:
+        model = one_vs_one_fit(train, rounds, lambda cols: grid_learner(grid, masses[:, cols]))
+    else:
+        model = adaboost_fit(train, rounds, grid_learner(grid, masses))
     if timings is not None:
         timings.update(train_grid=t1 - t0, train_boost=time.perf_counter() - t1)
     return model
@@ -214,12 +204,11 @@ def emit_rectangle_trace(ensemble, path) -> None:
             wr.writerow([i, repr(alpha), h.sign, "ball", json.dumps(A.center.tolist()), repr(A.radius), "", "", repr(h.threshold)])
 
 
-def _save_cloud_diagrams(per_cloud, labels, path):
-    flat, metas = [], []
-    for i, (dgms, lab) in enumerate(zip(per_cloud, labels)):
-        for dg in dgms:
-            flat.append(dg)
-            metas.append({"cloud": i, "label": int(lab)})
+def save_cloud_diagrams(per_cloud, labels, path):
+    """Each cloud's diagrams as diagrams JSONL, with {"cloud", "label"} metas:
+    the cloud's position in per_cloud and its label."""
+    flat = [dg for dgms in per_cloud for dg in dgms]
+    metas = [{"cloud": i, "label": int(lab)} for i, (dgms, lab) in enumerate(zip(per_cloud, labels)) for _ in dgms]
     save_diagrams_jsonl(flat, path, metas)
 
 
@@ -260,7 +249,7 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
         "test": [c * per + n_train + j for c in range(n_classes) for j in range(n_test)],
     }
     for name, idx in splits.items():
-        _save_cloud_diagrams([per_item[i] for i in idx], labels[idx], f"{outdir}/{name}_diagrams.jsonl")
+        save_cloud_diagrams([per_item[i] for i in idx], labels[idx], f"{outdir}/{name}_diagrams.jsonl")
     train, test = (LabeledDataset(tuple(meas[i] for i in idx), labels[idx]) for idx in splits.values())
 
     lrn = cfg["learner"]
@@ -309,7 +298,7 @@ def ppp_vs_gpp_defaults():
     }
 
 
-def run_ppp_vs_gpp(cfg: RunConfig, workers=1):
+def run_ppp_vs_gpp(cfg: dict, workers=1):
     d = cfg["data"]
 
     def gen(c, j, s):
@@ -340,7 +329,7 @@ def torus_vs_sphere_defaults():
     }
 
 
-def run_torus_vs_sphere(cfg: RunConfig, workers=1):
+def run_torus_vs_sphere(cfg: dict, workers=1):
     d = cfg["data"]
 
     def gen(c, j, s):
@@ -399,7 +388,7 @@ def orbit_defaults():
     }
 
 
-def run_orbit_5class(cfg: RunConfig, workers=1):
+def run_orbit_5class(cfg: dict, workers=1):
     d, flt, feat = cfg["data"], cfg["filtration"], cfg["features"]
     rhos = tuple(d["rhos"])
 
@@ -460,7 +449,7 @@ def _ring_of_cliques(n_cliques, clique_size) -> Graph:
     return Graph(n, tuple(sorted(set(edges))))
 
 
-def run_graph_hks_demo(cfg: RunConfig, workers=1):
+def run_graph_hks_demo(cfg: dict, workers=1):
     d = cfg["data"]
 
     def gen(c, j, s):
@@ -514,7 +503,7 @@ def _density_moment(setup, k):
     return 1.0  # unit density on the unit square
 
 
-def run_limit_check(cfg: RunConfig, workers=1):
+def run_limit_check(cfg: dict, workers=1):
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     setup = cfg["setup"]["name"]
@@ -525,6 +514,9 @@ def run_limit_check(cfg: RunConfig, workers=1):
         raise ValueError(
             f"k = 2 needs a 3-D setup: {setup!r} lies in the plane, where every degree-2 count and limit is 0"
         )
+    for name, vals in cfg["rectangles"].items():
+        if len(vals) != 4:
+            raise ConfigError(f"bad value for [rectangles] {name}: {vals!r} is not the four numbers s t u v")
     rects = {name: Rectangle(*vals) for name, vals in cfg["rectangles"].items()}
     base = cfg["seeds"]["base"]
     v_max = max(r.v for r in rects.values())
@@ -572,7 +564,7 @@ def rademacher_defaults():
     }
 
 
-def run_rademacher_scaling(cfg: RunConfig, workers=1):
+def run_rademacher_scaling(cfg: dict, workers=1):
     """Estimate vs sample size for the ball-mass class on unit-mass measures."""
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -613,11 +605,4 @@ def run_experiment(name, config_path=None, overrides=None, workers=1):
     if name not in RECIPES:
         raise ConfigError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
     defaults_fn, runner = RECIPES[name]
-    cfg = RunConfig(defaults_fn())
-    if config_path is not None:
-        cfg.override_from_file(config_path)
-    for (sec, key), val in (overrides or {}).items():
-        if sec not in cfg.sections or key not in cfg.sections[sec]:
-            raise ConfigError(f"unknown config key [{sec}] {key}")
-        cfg.sections[sec][key] = val
-    return runner(cfg, workers=workers)
+    return runner(load_config(defaults_fn(), config_path, overrides), workers=workers)

@@ -1,12 +1,14 @@
 """Weak classifiers on measures: a region, a mass threshold and a sign.
 
-`exhaustive_search` is the trainer: it scores the weighted 0-1 loss of every
-orientation x region x threshold of a discretized grid, from running sums of
-the class weights over each region's masses in increasing order, and returns
-the first cell, sign +1 first, then by region, then by threshold, whose loss
-is within tau = n * 4 * eps of the least.  tau bounds the rounding of those
-sums, so the choice follows the exact losses and no longer depends on the
-summation order or the memory layout of the masses.
+`grid_learner` is the trainer of one fit: it ranks each region's default
+thresholds among its masses once, and each round's `exhaustive_search`
+scores the weighted 0-1 loss of every orientation x region x threshold of
+a discretized grid, from running sums of the class weights over each
+region's masses in increasing order, and returns the first cell, sign +1
+first, then by region, then by threshold, whose loss is within
+tau = n * 4 * eps of the least.  tau bounds the rounding of those sums, so
+the choice follows the exact losses and no longer depends on the summation
+order or the memory layout of the masses.
 
 The decision rule is strict: predict label 1 iff sign * (mass - threshold) > 0.
 Ties at exactly the threshold therefore predict label 0, deterministically.
@@ -26,6 +28,7 @@ __all__ = [
     "WeakClassifier",
     "ball_grid",
     "exhaustive_search",
+    "grid_learner",
     "rank_thresholds",
     "ThresholdRanks",
     "kmeans_centers",
@@ -95,7 +98,8 @@ def default_thresholds(masses: np.ndarray) -> np.ndarray:
 class ThresholdRanks(NamedTuple):
     """Each region's thresholds placed among its masses (`rank_thresholds`).
     Masses and thresholds do not change between boosting rounds, so a fit
-    ranks them once and every round's `exhaustive_search` reuses it."""
+    ranks them once (`grid_learner`) and every round's `exhaustive_search`
+    reuses it."""
 
     thresholds: np.ndarray  # (regions, T)
     order: np.ndarray  # (regions, n): measures by increasing mass, ties in index order
@@ -121,29 +125,23 @@ def rank_thresholds(masses, thresholds) -> ThresholdRanks:
     return ThresholdRanks(thr, order, le, lt)
 
 
-def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray | None = None, thresholds=None):
+def exhaustive_search(data: LabeledDataset, regions, w, masses: np.ndarray, ranks: ThresholdRanks):
     """Minimize the weighted 0-1 error over regions x thresholds x signs.
 
-    masses (the regions' mass matrix over data) and thresholds (one row per
-    region, `default_thresholds` of the masses) are derived when None;
-    thresholds may also be their `rank_thresholds` against the masses, as a
-    fit reuses it across rounds.  The winner is the first cell in (sign,
-    region, threshold) order, sign +1 first, whose error is within
-    tau = n * 4 * eps of the least.  tau bounds the rounding of the error
-    sums, so ties in exact arithmetic go to sign +1, then the lower region
-    index, then the threshold that comes first in its row, whatever the
-    summation order or the memory layout of the masses.
+    masses is the regions' mass matrix over data, ranks its `rank_thresholds`
+    against one row of thresholds per region, and w the weights of data.
+    The winner is the first cell in (sign, region, threshold) order, sign +1
+    first, whose error is within tau = n * 4 * eps of the least.  tau bounds
+    the rounding of the error sums, so ties in exact arithmetic go to sign
+    +1, then the lower region index, then the threshold that comes first in
+    its row, whatever the summation order or the memory layout of the masses.
 
     Returns (WeakClassifier, error, its region's masses over data).
     """
     n = len(data)
-    w = np.full(n, 1.0 / n) if w is None else _check_weights(w, n)
+    w = _check_weights(w, n)
     y = data.labels
-    if masses is None:
-        masses = mass_matrix(data.measures, regions)
-    if not isinstance(thresholds, ThresholdRanks):
-        thresholds = rank_thresholds(masses, default_thresholds(masses) if thresholds is None else thresholds)
-    thr, order, le, lt = thresholds
+    thr, order, le, lt = ranks
     pos, neg = (y == 0) * w, (y == 1) * w  # loss of predicting 1, of predicting 0
     # cum[c, a, k]: class c's weight on region a's k smallest masses, summed in that order
     cum = np.zeros((2, len(order), n + 1))
@@ -164,6 +162,15 @@ def exhaustive_search(data: LabeledDataset, regions, w=None, masses: np.ndarray 
     tied = errs <= errs.min() + n * _TIE_EPS
     s, a, t = np.unravel_index(np.argmax(tied), errs.shape)  # argmax: the first True
     return WeakClassifier(regions[a], float(thr[a, t]), 1 - 2 * int(s)), float(errs[s, a, t]), masses[a]
+
+
+def grid_learner(grid, masses):
+    """Learner of one fit, learner(data, w) -> `exhaustive_search` over the
+    grid, for the measures whose grid masses are the columns of masses, in
+    data's order.  Masses and their `default_thresholds` do not change
+    between rounds, so they are ranked once, here."""
+    ranks = rank_thresholds(masses, default_thresholds(masses))
+    return lambda data, w: exhaustive_search(data, grid, w, masses, ranks)
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed: int = 0):

@@ -15,7 +15,8 @@ from measureboost.boosting import (
 )
 from measureboost.measures import LabeledDataset, Measure
 from measureboost.regions import Ball, region_to_json
-from measureboost.weak import WeakClassifier, ball_grid, exhaustive_search
+from measureboost.weak import WeakClassifier, ball_grid
+from weak_search import search
 
 
 def unit(points):
@@ -24,10 +25,12 @@ def unit(points):
 
 def grid_learner(grid, thresholds=None):
     # thresholds: one row per region of the grid, or None for the default rows
-    def learner(data, w, cols=None):
-        return exhaustive_search(data, grid, w, thresholds=thresholds)
+    return lambda data, w: search(data, grid, w, thresholds=thresholds)
 
-    return learner
+
+def pair_learners(grid):
+    # one_vs_one_fit's learner_for: each pair's search derives its own masses
+    return lambda cols: grid_learner(grid)
 
 
 def separable_data():
@@ -153,9 +156,20 @@ def test_one_vs_one_multiclass():
     grid = ball_grid(
         [np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0]
     )
-    model = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
+    model = one_vs_one_fit(data, rounds=4, learner_for=pair_learners(grid))
     assert len(model.models) == 3
     np.testing.assert_array_equal(one_vs_one_predict(model, data.measures), data.labels)
+
+
+def test_one_vs_one_asks_each_pair_for_its_learner():
+    # learner_for gets the pair's positions in the data, in class-pair order
+    data = three_class_data()
+    grid = ball_grid([np.zeros(2), np.array([5.0, 0.0])], [1.0])
+    asked = []
+    model = one_vs_one_fit(data, rounds=2, learner_for=lambda cols: asked.append(cols) or grid_learner(grid))
+    assert list(model.models) == [(0, 1), (0, 2), (1, 2)]
+    for cols, pair in zip(asked, model.models):
+        np.testing.assert_array_equal(cols, np.flatnonzero(np.isin(data.labels, pair)))
 
 
 def _reference_vote(ens, mu):
@@ -167,7 +181,7 @@ def _reference_vote(ens, mu):
 def test_one_vs_one_predict_is_one_mass_matrix_pass(monkeypatch):
     data = three_class_data()
     grid = ball_grid([np.zeros(2), np.array([5.0, 0.0]), np.array([0.0, 5.0])], [1.0, 3.0])
-    fitted = one_vs_one_fit(data, rounds=4, learner=grid_learner(grid))
+    fitted = one_vs_one_fit(data, rounds=4, learner_for=pair_learners(grid))
     # every class wins one pair, (0, 1) by an exact zero score, so every
     # measure is a three-way tie that goes to class 0
     always = lambda y: WeakClassifier(Ball(np.zeros(2), 1.0), -1.0, 1 if y else -1)
@@ -208,7 +222,7 @@ def test_ensemble_predict_matches_per_measure_votes():
 def test_one_vs_one_json_roundtrip():
     data = three_class_data()
     grid = ball_grid([np.zeros(2), np.array([5.0, 0.0])], [1.0])
-    model = one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
+    model = one_vs_one_fit(data, rounds=2, learner_for=pair_learners(grid))
     back = OneVsOneModel.from_json(model.to_json())
     np.testing.assert_array_equal(one_vs_one_predict(back, data.measures), one_vs_one_predict(model, data.measures))
 
@@ -218,7 +232,7 @@ def test_one_vs_one_needs_two_classes():
     data = LabeledDataset(ms, np.zeros(3, dtype=int))
     grid = ball_grid([np.zeros(2)], [1.0])
     with pytest.raises(ValueError):
-        one_vs_one_fit(data, rounds=2, learner=grid_learner(grid))
+        one_vs_one_fit(data, rounds=2, learner_for=pair_learners(grid))
 
 
 def test_fit_is_deterministic():

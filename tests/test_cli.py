@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import measureboost
-from measureboost.cli import main
+from measureboost.boosting import OneVsOneModel
+from measureboost.cli import _features, main
 from measureboost.measures import LabeledDataset, Measure, load_dataset_jsonl, save_dataset_jsonl
 from measureboost.ph.diagrams import load_diagrams_jsonl
+from measureboost.recipes import classifier_predict, fit_classifier
 
 
 def run(argv):
@@ -57,7 +59,7 @@ def test_full_pipeline_train_predict_eval(tmp_path, capsys):
                 "--out", str(model), "--rounds", "5", "--n-centers", "8",
                 "--dims", "0", "--truncation", "2.0"]) == 0
     obj = json.loads(model.read_text())
-    assert obj["kind"] == "binary"
+    assert set(obj) == {"labels", "stages"}  # the binary Ensemble's own JSON
 
     preds = tmp_path / "preds.jsonl"
     assert run(["predict", "--model", str(model),
@@ -269,6 +271,35 @@ def test_predict_keeps_the_input_cloud_ids(tmp_path):
     assert [r["prediction"] for r in got] == [want[1]["prediction"], want[0]["prediction"]]
 
 
+def test_recipe_multiclass_model_predicts_and_evaluates(tmp_path, capsys):
+    # a one-vs-one model.json as the recipes write it, with no key but its
+    # per-pair models to tell it from a binary one
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3), 5)
+    dgms = tmp_path / "dg.jsonl"
+    dgms.write_text("".join(
+        json.dumps({"dim": 0, "pairs": [[0, d] for d in (0.3 * c + rng.uniform(0, 0.2, 3)).tolist()] + [[0, "inf"]],
+                    "cloud": i, "label": int(c)}) + "\n"
+        for i, c in enumerate(labels)
+    ))
+    _, meas, _ = _features(dgms, [0], 2.0)
+    model = fit_classifier(LabeledDataset(tuple(meas), labels), 4, (0.2, 0.6), 3, 0)
+    assert isinstance(model, OneVsOneModel)
+    path = tmp_path / "model.json"
+    with open(path, "w") as fh:
+        json.dump(model.to_json(), fh, indent=2)
+    old = tmp_path / "old-model.json"  # a "kind" key, as older `train` runs wrote it, still loads
+    old.write_text(json.dumps({"kind": "one-vs-one", **model.to_json()}))
+    want = classifier_predict(model, meas)
+    for model_file in (path, old):
+        preds = tmp_path / "preds.jsonl"
+        assert run(["predict", "--model", str(model_file), "--input", str(dgms), "--out", str(preds), "--dims", "0"]) == 0
+        assert [json.loads(line)["prediction"] for line in preds.read_text().splitlines()] == want.tolist()
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model_file), "--input", str(dgms), "--dims", "0"]) == 0
+        assert capsys.readouterr().out == f"accuracy {np.mean(want == labels):.4f}\n"
+
+
 @pytest.mark.parametrize("dims, cause", [("1", "sit on k-means centers"), ("2", "no training measure has a support point")])
 def test_degenerate_training_set_names_the_cause(tmp_path, capsys, dims, cause):
     # four clouds with the one H1 pair (0.5, 1.5): at --dims 1 every support
@@ -419,6 +450,17 @@ def test_nan_truncation_names_the_flag(tmp_path, capsys):
         assert run(argv) == 5
         assert "error: truncation must be finite to replace infinite deaths, got nan" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("rect", ["0.5 1.0 2.0", "0.5 1.0 1.0 2.0 3.0"])
+def test_limit_check_rectangle_needs_four_numbers(tmp_path, capsys, rect):
+    # s t u v: a rectangle with another count of numbers is a config error
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[rectangles]\nr1 = {rect}\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 3
+    vals = tuple(map(float, rect.split()))
+    assert f"config error: 'bad value for [rectangles] r1: {vals!r}" in capsys.readouterr().err
+    assert not (tmp_path / "limit_check.csv").exists()
 
 
 @pytest.mark.parametrize("setup, key", [("name = circle\nd = 2", "[setup] d"), ("name = triangle", "[setup] name")])

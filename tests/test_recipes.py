@@ -8,12 +8,11 @@ from measureboost import boosting, limits, measures, recipes, weak
 from measureboost.boosting import adaboost_fit
 from measureboost.cli import main
 from measureboost.limits import Rectangle, xi_count
-from measureboost.measures import LabeledDataset, Measure
+from measureboost.measures import LabeledDataset, Measure, mass_matrix
 from measureboost.ph import cech_filtration, persistence
 from measureboost.ph.diagrams import PersistenceDiagram, load_diagrams_jsonl
 from measureboost.recipes import (
     RECIPES,
-    RunConfig,
     _limit_cloud,
     _thin_cloud,
     build_ball_grid,
@@ -21,16 +20,18 @@ from measureboost.recipes import (
     diagrams_to_feature_measure,
     emit_rectangle_trace,
     fit_classifier,
-    make_cached_learner,
+    load_config,
     run_experiment,
 )
-from measureboost.weak import ball_grid, exhaustive_search
+from measureboost.weak import ball_grid, grid_learner
+from weak_search import search
 
 
 def test_runconfig_lookup_and_defaults():
-    cfg = RunConfig({"data": {"n": 5, "rho": 2.5}, "output": {"dir": "out"}})
-    assert cfg["data"]["n"] == 5
-    assert cfg["output"]["dir"] == "out"
+    defaults = {"data": {"n": 5, "rho": 2.5}, "output": {"dir": "out"}}
+    cfg = load_config(defaults, overrides={("data", "n"): 7})
+    assert cfg == {"data": {"n": 7, "rho": 2.5}, "output": {"dir": "out"}}
+    assert defaults["data"]["n"] == 5  # the defaults are copied, not changed
 
 
 def test_runconfig_file_override_types(tmp_path):
@@ -38,10 +39,9 @@ def test_runconfig_file_override_types(tmp_path):
     ini.write_text(
         "[data]\nn = 9\nrho = 3.5\nsizes = 10, 20 30\nflag = yes\nname = abc\n"
     )
-    cfg = RunConfig(
-        {"data": {"n": 5, "rho": 2.5, "sizes": (1, 2), "flag": False, "name": "x"}}
+    cfg = load_config(
+        {"data": {"n": 5, "rho": 2.5, "sizes": (1, 2), "flag": False, "name": "x"}}, ini
     )
-    cfg.override_from_file(ini)
     d = cfg["data"]
     assert d["n"] == 9 and isinstance(d["n"], int)
     assert d["rho"] == 3.5
@@ -51,15 +51,20 @@ def test_runconfig_file_override_types(tmp_path):
 
 
 def test_runconfig_rejects_unknown_keys(tmp_path):
-    cfg = RunConfig({"data": {"n": 5}})
+    defaults = {"data": {"n": 5}}
     bad_section = tmp_path / "a.ini"
-    bad_section.write_text("[nope]\nx = 1\n")
-    with pytest.raises(KeyError):
-        RunConfig({"data": {"n": 5}}).override_from_file(bad_section)
+    bad_section.write_text("[nope]\n")
+    with pytest.raises(KeyError, match=r"unknown config section \[nope\]"):
+        load_config(defaults, bad_section)
     bad_key = tmp_path / "b.ini"
     bad_key.write_text("[data]\nm = 1\n")
-    with pytest.raises(KeyError):
-        cfg.override_from_file(bad_key)
+    with pytest.raises(KeyError, match=r"unknown config key \[data\] m"):
+        load_config(defaults, bad_key)
+    # in-memory overrides pass the same checks
+    with pytest.raises(KeyError, match=r"unknown config section \[nope\]"):
+        load_config(defaults, overrides={("nope", "n"): 1})
+    with pytest.raises(KeyError, match=r"unknown config key \[data\] m"):
+        load_config(defaults, overrides={("data", "m"): 1})
 
 
 def test_compute_diagrams_worker_count_is_invisible():
@@ -134,14 +139,16 @@ def test_cached_learner_matches_uncached():
     ms = tuple(Measure(rng.uniform(size=(5, 2))) for _ in range(10))
     data = LabeledDataset(ms, rng.integers(0, 2, size=10))
     grid = ball_grid([np.full(2, 0.3), np.full(2, 0.5), np.full(2, 0.7)], [0.3, 0.6])
-    learner = make_cached_learner(grid, data)
-    # several rounds with new weights on one column set, then on the next: a
-    # per-fit table reused across fits or gone stale across rounds differs
-    for cols in (None, np.array([1, 4, 5, 8]), np.array([0, 2, 3, 6, 7, 9]), np.array([0, 3, 7, 9])):
-        sub = data if cols is None else data.subset(cols)
+    masses = mass_matrix(data.measures, grid)
+    # one learner per fit, over the fit's columns of one matrix, for several
+    # rounds with new weights: ranks gone stale across rounds, or columns
+    # out of step with the fit's data, differ from a freshly ranked search
+    for cols in (np.arange(10), np.array([1, 4, 5, 8]), np.array([0, 2, 3, 6, 7, 9]), np.array([0, 3, 7, 9])):
+        sub = data.subset(cols)
+        learner = grid_learner(grid, masses[:, cols])
         for w in [np.full(len(sub), 1 / len(sub))] + [rng.dirichlet(np.ones(len(sub))) for _ in range(3)]:
-            h1, e1, row1 = learner(sub, w, cols=cols)
-            h2, e2, row2 = exhaustive_search(sub, grid, w)
+            h1, e1, row1 = learner(sub, w)
+            h2, e2, row2 = search(sub, grid, w)
             assert e1 == e2
             assert h1.to_json() == h2.to_json()
             np.testing.assert_array_equal(row1, row2)
@@ -175,10 +182,8 @@ def test_fit_classifier_one_mass_matrix_for_every_pair(monkeypatch):
     assert grid_calls == [len(train)]
     monkeypatch.undo()
     (grid,) = grids
-    for (a, b), ens in model.models.items():
-        pair = train.subset(np.nonzero(np.isin(train.labels, (a, b)))[0])
-        expected = adaboost_fit(pair, 3, lambda d, w: exhaustive_search(d, grid, w))
-        assert ens.to_json() == expected.to_json()
+    expected = boosting.one_vs_one_fit(train, 3, lambda cols: lambda d, w: search(d, grid, w))
+    assert model.to_json() == expected.to_json()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -202,8 +207,11 @@ def test_fit_classifier_rounds_read_the_one_grid_matrix(monkeypatch, seed, n_cla
     monkeypatch.undo()
     (grid,) = grids
     assert matrices == [len(grid)] and predicts == []
-    fit = boosting.one_vs_one_fit if n_classes > 2 else adaboost_fit
-    expected = fit(train, 6, lambda d, w, cols=None: exhaustive_search(d, grid, w))
+    learner = lambda d, w: search(d, grid, w)
+    if n_classes > 2:
+        expected = boosting.one_vs_one_fit(train, 6, lambda cols: learner)
+    else:
+        expected = adaboost_fit(train, 6, learner)
     assert model.to_json() == expected.to_json()
 
 
@@ -225,8 +233,7 @@ def test_emit_rectangle_trace_schema(tmp_path):
         ys.append(1)
     data = LabeledDataset(tuple(ms), np.array(ys))
     grid = ball_grid([np.full(2, 0.3), np.full(2, 1.2)], [0.4, 0.8])
-    learner = make_cached_learner(grid, data)
-    ens = adaboost_fit(data, rounds=4, learner=learner)
+    ens = adaboost_fit(data, rounds=4, learner=grid_learner(grid, mass_matrix(data.measures, grid)))
     path = tmp_path / "trace.csv"
     emit_rectangle_trace(ens, path)
     with open(path, newline="") as fh:
@@ -361,7 +368,7 @@ def test_cli_train_reproduces_recipe_model(tmp_path):
     ]
     assert main(argv) == 0
     expected = json.loads((out / "model.json").read_text())
-    assert json.loads(model.read_text()) == {"kind": "binary", **expected}
+    assert json.loads(model.read_text()) == expected
 
 
 def test_graph_hks_demo_writes_diagrams_and_weak_accuracy(tmp_path):

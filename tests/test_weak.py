@@ -12,9 +12,9 @@ from measureboost.weak import (
     WeakClassifier,
     ball_grid,
     default_thresholds,
-    exhaustive_search,
     kmeans_centers,
 )
+from weak_search import search
 
 
 def unit(points):
@@ -58,7 +58,7 @@ def test_predict_strict_threshold():
 def test_exhaustive_separable_toy():
     data = separable_toy()
     grid = ball_grid([np.array([0.5, 0.5])], [1.0])
-    h, err, _ = exhaustive_search(data, grid, thresholds=[[0.5]])
+    h, err, _ = search(data, grid, thresholds=[[0.5]])
     assert err == 0.0
     assert weighted_error(h, data) == 0.0
 
@@ -69,8 +69,8 @@ def test_exhaustive_orientation_symmetry():
     grid = ball_grid(
         [np.array([0.0, 0.0]), np.array([1.0, 1.0])], [0.5, 1.0, 2.0]
     )
-    _, e1, _ = exhaustive_search(data, grid)
-    _, e2, _ = exhaustive_search(flipped, grid)
+    _, e1, _ = search(data, grid)
+    _, e2, _ = search(flipped, grid)
     assert e1 == pytest.approx(e2)
 
 
@@ -81,7 +81,7 @@ def test_exhaustive_matches_bruteforce():
     radii = [0.5, 1.0, 1.5]
     thresholds = (0.5, 1.5, 2.5)
     grid = ball_grid(centers, radii)
-    h, err, _ = exhaustive_search(data, grid, thresholds=np.tile(thresholds, (len(grid), 1)))
+    h, err, _ = search(data, grid, thresholds=np.tile(thresholds, (len(grid), 1)))
     best = min(
         weighted_error(WeakClassifier(A, t, s), data)
         for A in grid
@@ -98,7 +98,7 @@ def test_exhaustive_reported_error_is_true_error():
     for seed in range(5):
         data = random_dataset(seed, n=16, pts=3)
         grid = ball_grid([np.array([0.5, 0.5])], [0.7, 1.2])
-        h, err, _ = exhaustive_search(data, grid)
+        h, err, _ = search(data, grid)
         assert err == pytest.approx(weighted_error(h, data))
 
 
@@ -108,12 +108,12 @@ def test_exhaustive_weighted():
     w = np.zeros(n)
     w[0] = 1.0  # all weight on one example
     grid = ball_grid([np.array([0.5, 0.5])], [1.0])
-    _, err, _ = exhaustive_search(data, grid, w=w, thresholds=[[0.5]])
+    _, err, _ = search(data, grid, w=w, thresholds=[[0.5]])
     assert err == 0.0
     with pytest.raises(ValueError):
-        exhaustive_search(data, grid, w=np.full(n, 1.0), thresholds=[[0.5]])  # does not sum to 1
+        search(data, grid, w=np.full(n, 1.0), thresholds=[[0.5]])  # does not sum to 1
     with pytest.raises(ValueError, match="finite"):
-        exhaustive_search(data, grid, w=np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))], thresholds=[[0.5]])
+        search(data, grid, w=np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))], thresholds=[[0.5]])
 
 
 def _loop_thresholds(m):
@@ -155,7 +155,7 @@ def test_exhaustive_search_matches_region_loop(seed):
     data = LabeledDataset(tuple(unit([[0, 0]]) for _ in range(n)), rng.integers(0, 2, size=n))
     w = None if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
     want, want_err = _direct_search(data, grid, w, masses, thresholds)
-    got, got_err, got_row = exhaustive_search(data, grid, w, masses=masses, thresholds=thresholds)
+    got, got_err, got_row = search(data, grid, w, masses, thresholds)
     assert got.region is want.region
     assert (got.threshold, got.sign) == (want.threshold, want.sign)
     assert abs(got_err - want_err) <= n * weak._TIE_EPS
@@ -180,7 +180,7 @@ def test_tie_rule_does_not_depend_on_rounding():
         s, a, t = np.unravel_index(np.argmin(misses), misses.shape)
         assert (1 - 2 * s, a, thresholds[a, t]) == want
         for m in (masses, np.asfortranarray(masses)):
-            h, err, row = exhaustive_search(data, grid, masses=m, thresholds=thresholds)
+            h, err, row = search(data, grid, masses=m, thresholds=thresholds)
             assert h.region is grid[a] and (h.sign, h.threshold) == (1 - 2 * s, thresholds[a, t])
             assert err == pytest.approx(misses[s, a, t] / 120, abs=1e-12)
             np.testing.assert_array_equal(row, masses[a])
