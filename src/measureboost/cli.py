@@ -2,7 +2,7 @@
 prediction, evaluation, distances, and the bundled experiment recipes.
 
 Exit codes: 0 success, 2 argument errors (argparse), 3 config errors,
-4 input/output errors (malformed JSONL records too), 5 computation errors.
+4 input/output errors (malformed JSONL records and model files too), 5 computation errors.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def _load_model(path):
     """A `train` or recipe model.json: one-vs-one iff it holds per-pair models."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise KeyError(f"{path}: a model must be a JSON object")
     return OneVsOneModel.from_json(obj) if "models" in obj else Ensemble.from_json(obj)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ph.complexes import FilteredComplex, _sort_key
+from .ph.complexes import FilteredComplex
 from .ph.persistence import persistence
 
 __all__ = [
@@ -82,8 +82,12 @@ def graph_sublevel_diagrams(g: Graph, values) -> tuple:
     values = np.asarray(values, dtype=float)
     if values.shape != (g.n,):
         raise ValueError("need one value per vertex")
-    simplices = [((v,), float(values[v])) for v in range(g.n)]
-    simplices += [((u, v), float(max(values[u], values[v]))) for u, v in g.edges]
-    simplices.sort(key=_sort_key)
-    fc = FilteredComplex(tuple(simplices), max_dim=2)  # D0 and D1; no triangles
+    edges = np.unique(np.array(g.edges, dtype=np.intp).reshape(-1, 2), axis=0)  # lexicographic rows
+    low, high = values[edges].T
+    edge_values = np.where(high > low, high, low)  # of equal values the first, as max() has it
+    # stable sorts by value over sorted rows: the filtration order
+    vo, eo = np.argsort(values, kind="stable"), np.argsort(edge_values, kind="stable")
+    fc = FilteredComplex(  # D0 and D1; no triangles
+        (np.arange(g.n)[vo, None], edges[eo], np.empty((0, 3), dtype=np.intp)), (values[vo], edge_values[eo], np.empty(0))
+    )
     return tuple(persistence(fc, include_zero_length=True))

@@ -29,7 +29,9 @@ bounding box diagonal, a Qhull error or a point left out (see
 `_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
 their full complex, with the top simplex sorted last.  Tetrahedra are
 valued by `miniball_radius` on stacks of vertex sets, one boundary subset
-at a time for the whole stack.
+at a time for the whole stack.  Each dimension's kept rows and values go
+into the `FilteredComplex` as arrays, sorted stably by value: no Python
+object is made per simplex.
 """
 
 from __future__ import annotations
@@ -45,30 +47,32 @@ _JITTER_SEED = 715517
 # most candidate simplices of one dimension a build may list: edges, then the
 # join or Delaunay candidates of `_cofaces`, each counted before it is listed
 _BUDGET = 5_000_000
-_ROWS = 1 << 16  # tetrahedra whose miniballs are solved at a time
+_ROWS = 1 << 16  # tetrahedra whose miniballs are solved, or boundary columns listed, at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Simplices sorted by (filtration value, dimension, vertex order)."""
+    """The simplices of dimensions 0 .. max_dim in filtration order: by value,
+    ties in the rows' lexicographic order.  Dimension k is verts[k], an int
+    array of increasing vertex rows of shape (n_k, k + 1), and values[k], a
+    float array of shape (n_k,); a dimension the build never reaches is empty.
+    """
 
-    simplices: tuple  # of (verts: tuple[int, ...], value: float)
-    max_dim: int
+    verts: tuple
+    values: tuple
 
-    def by_dim(self) -> list:
-        """Simplices grouped by dimension, each group in filtration order."""
-        groups = [[] for _ in range(self.max_dim + 1)]
-        for verts, value in self.simplices:
-            groups[len(verts) - 1].append((verts, value))
-        return groups
+    @property
+    def max_dim(self) -> int:
+        return len(self.verts) - 1
 
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-
-def _sort_key(item):
-    verts, value = item
-    return (value, len(verts), verts)
+    @property
+    def simplices(self) -> tuple:
+        """Every simplex as (verts: tuple[int, ...], value: float), sorted by
+        (value, dimension, verts): built on each call, for oracles and tests."""
+        values = np.concatenate(self.values)
+        dims = np.repeat(np.arange(len(self.values)), [len(v) for v in self.values])
+        pairs = list(zip((tuple(row) for verts in self.verts for row in verts.tolist()), values.tolist()))
+        return tuple(pairs[i] for i in np.lexsort((dims, values)).tolist())  # stable: ties keep the rows' order
 
 
 def _half_norms(diffs, shape):
@@ -331,7 +335,8 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         raise ValueError("max_value must not be NaN")
     points = _as_cloud(points)
     n, d = points.shape
-    simplices = [((i,), 0.0) for i in range(n)]
+    verts = [np.arange(n)[:, None]] + [np.empty((0, k + 1), dtype=np.intp) for k in range(1, max_dim + 1)]
+    values = [np.zeros(n)] + [np.empty(0)] * max_dim
     if n >= 2 and max_dim >= 1:
         deduped = _dedup_points(points)
         cells, top = None, max_dim
@@ -344,15 +349,16 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         points = deduped
         if cells is not None:
             top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
-        faces, values = _edges(points, max_value, cells)
+        faces, vals = _edges(points, max_value, cells)
         for dim in range(1, top + 1):
             if dim > 1:
                 if not len(faces):
                     break
-                faces, values = _cofaces(points, faces, values, max_value, value_fn, cells)
-            simplices.extend(zip(map(tuple, faces.tolist()), values.tolist()))
-    simplices.sort(key=_sort_key)
-    return FilteredComplex(tuple(simplices), max_dim=max_dim)
+                faces, vals = _cofaces(points, faces, vals, max_value, value_fn, cells)
+            # the rows are sorted, so a stable sort by value breaks ties by the rows
+            order = np.argsort(vals, kind="stable")
+            verts[dim], values[dim] = faces[order], vals[order]
+    return FilteredComplex(tuple(verts), tuple(values))
 
 
 def _as_cloud(points) -> np.ndarray:

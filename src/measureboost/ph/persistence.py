@@ -1,49 +1,54 @@
 """Persistence computation by column reduction of the GF(2) boundary matrix.
 
-Columns are stored as Python integers used as bitsets over the rows of the
-boundary block one dimension down; XOR is then a single C-level operation
-and the pivot is `bit_length() - 1`.  The boundary matrix is block-diagonal
-across dimensions, so each block reduces independently; blocks are processed
-from the top dimension downward so the clearing shortcut (skip columns known
-to be births) applies.
+Block k has a column per k-simplex and a row per (k-1)-simplex, both in
+filtration order; a column's facets are found among the rows by one sort of
+the rows' integer codes (`_codes`) and a binary search per dropped vertex.
+Columns are Python integers used as bitsets over the rows: XOR is a single
+C-level operation and the pivot is `bit_length() - 1`.  The blocks reduce
+independently, top dimension first, so the clearing shortcut (skip columns
+known to be births) applies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import FilteredComplex
+from .complexes import _ROWS, FilteredComplex, _codes
 from .diagrams import PersistenceDiagram
 
 __all__ = ["persistence", "betti_oracle"]
 
 
-def _reduce_block(cols, row_index, cleared):
+def _reduce_block(rows, cols, cleared):
     """Reduce one boundary block.
 
-    cols: list of (verts, value) for k-simplices in filtration order.
-    row_index: position of each (k-1)-simplex in filtration order.
+    rows, cols: vertex rows of the (k-1)- and k-simplices in filtration order.
     cleared: column positions known to be births (skipped).
 
     Returns {column position: pivot row position} for the columns that do
     not reduce to zero, in column order; each is a finite pair.
     """
-    pivot_col = {}
-    pivots = {}
-    for j, (verts, _value) in enumerate(cols):
-        if j in cleared:
-            continue
-        col = 0
-        for skip in range(len(verts)):
-            col ^= 1 << row_index[verts[:skip] + verts[skip + 1 :]]
-        while col:
-            low = col.bit_length() - 1
-            other = pivot_col.get(low)
-            if other is None:
-                pivot_col[low] = col
-                pivots[j] = low
-                break
-            col ^= other
+    n = int(rows.max()) + 1  # every vertex of a column is in one of its facets
+    order = np.argsort(_codes(rows, n))
+    codes = _codes(rows[order], n)
+    live = np.delete(np.arange(len(cols)), list(cleared))
+    pivot_col, pivots = {}, {}
+    for start in range(0, len(live), _ROWS):  # as lists, a whole block's facets would outweigh the complex
+        js = live[start : start + _ROWS]
+        dropped = (np.delete(cols[js], s, axis=1) for s in range(cols.shape[1]))  # facets[i, s]: row of js[i] without its vertex s
+        facets = np.column_stack([order[np.searchsorted(codes, _codes(f, n))] for f in dropped])
+        for j, at in zip(js.tolist(), facets.tolist()):
+            col = 0
+            for row in at:
+                col ^= 1 << row
+            while col:
+                low = col.bit_length() - 1
+                other = pivot_col.get(low)
+                if other is None:
+                    pivot_col[low] = col
+                    pivots[j] = low
+                    break
+                col ^= other
     return pivots
 
 
@@ -59,30 +64,23 @@ def persistence(
     Zero-length pairs (birth == death) are dropped unless
     `include_zero_length`.
     """
-    groups = fc.by_dim()
-    found = [[] for _ in range(fc.max_dim)]  # (birth, death) of H_0 .. H_{max_dim-1}
-    killed = set()
+    diagrams, killed = [], set()
     for k in range(fc.max_dim, -1, -1):
-        pivots = {}
+        pivots, values = {}, fc.values[k]
+        if k and len(values):
+            pivots = _reduce_block(fc.verts[k - 1], fc.verts[k], killed)
+        if k < fc.max_dim:  # finite pairs from block k + 1, then the essential classes
+            essential = np.ones(len(values), dtype=bool)
+            essential[list(killed)] = essential[list(pivots)] = False
+            b = np.concatenate([births, values[essential]])
+            d = np.concatenate([deaths, np.full(np.count_nonzero(essential), np.inf)])
+            if not include_zero_length:
+                b, d = b[b != d], d[b != d]
+            order = np.lexsort((d, b))  # stable, like a sort of (birth, death) tuples
+            diagrams.insert(0, PersistenceDiagram(k, np.column_stack([b[order], d[order]])))
         if k:
-            rows, cols = groups[k - 1], groups[k]
-            row_index = {verts: i for i, (verts, _v) in enumerate(rows)}
-            pivots = _reduce_block(cols, row_index, killed)
-            found[k - 1] += [(rows[low][1], cols[j][1]) for j, low in pivots.items()]
-        if k < fc.max_dim:
-            found[k] += [
-                (value, np.inf)
-                for j, (_verts, value) in enumerate(groups[k])
-                if j not in killed and j not in pivots
-            ]
+            births, deaths = fc.values[k - 1][list(pivots.values())], values[list(pivots)]
         killed = set(pivots.values())
-
-    diagrams = []
-    for k, pairs in enumerate(found):
-        if not include_zero_length:
-            pairs = [(b, d) for b, d in pairs if b != d]
-        pairs.sort()
-        diagrams.append(PersistenceDiagram(k, np.array(pairs, dtype=float).reshape(-1, 2)))
     return diagrams
 
 
@@ -107,30 +105,19 @@ def betti_oracle(fc: FilteredComplex, r: float, k: int) -> int:
 
     beta_k = #k-simplices - rank(boundary_k) - rank(boundary_{k+1}),
     all restricted to simplices with value <= r.  Intended for small
-    complexes as an independent check of the reduction.
+    complexes as an independent check of the reduction: it reads the
+    `simplices` view and finds each facet by its vertex tuple.
     """
-    groups = fc.by_dim()
-    present = [
-        [(verts, v) for verts, v in groups[d] if v <= r]
-        for d in range(fc.max_dim + 1)
-    ]
-
-    def boundary_columns(dim):
-        if dim == 0 or dim > fc.max_dim:
-            return []
-        row_index = {verts: i for i, (verts, _v) in enumerate(present[dim - 1])}
-        cols = []
-        for verts, _v in present[dim]:
-            col = 0
-            for skip in range(len(verts)):
-                face = verts[:skip] + verts[skip + 1 :]
-                col ^= 1 << row_index[face]
-            cols.append(col)
-        return cols
-
     if k > fc.max_dim:
         return 0
-    n_k = len(present[k])
-    rank_dk = _gf2_rank(boundary_columns(k))
-    rank_dk1 = _gf2_rank(boundary_columns(k + 1))
-    return n_k - rank_dk - rank_dk1
+    present = [[] for _ in range(fc.max_dim + 2)]  # no simplex above max_dim
+    for verts, v in fc.simplices:
+        if v <= r:
+            present[len(verts) - 1].append(verts)
+
+    def boundary_rank(dim):
+        position = {verts: i for i, verts in enumerate(present[dim - 1])}
+        columns = [sum(1 << position[verts[:s] + verts[s + 1 :]] for s in range(dim + 1)) for verts in present[dim]]
+        return _gf2_rank(columns)
+
+    return len(present[k]) - (boundary_rank(k) if k else 0) - boundary_rank(k + 1)

@@ -53,7 +53,7 @@ def load_config(defaults: dict, config_path=None, overrides=None) -> dict:
     {(section, key): value}.  Neither may add a section or a key."""
     cfg = {sec: dict(kv) for sec, kv in defaults.items()}
     if config_path is not None:
-        cp = ConfigParser()
+        cp = ConfigParser(default_section="")  # no INI section has this name: [DEFAULT] is unknown
         with open(config_path) as fh:
             cp.read_file(fh)
         for sec in cp.sections():

@@ -116,6 +116,15 @@ def test_bad_recipe_config_is_config_error(tmp_path):
                 "--outdir", str(tmp_path)]) == 3
 
 
+def test_default_only_config_is_config_error(tmp_path, capsys):
+    # [DEFAULT] is no recipe section: its keys would otherwise go unused
+    cfg = tmp_path / "default.ini"
+    cfg.write_text("[DEFAULT]\nn_draws = 5\n")
+    assert run(["rademacher", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "recipe, text, key, raw",
     [
@@ -333,6 +342,18 @@ def test_bad_model_json_is_io_error(tmp_path):
          "--max-value", "0.5"])
     assert run(["predict", "--model", str(model), "--input", str(dgms),
                 "--out", str(tmp_path / "p.jsonl")]) == 4
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_model_that_is_not_an_object_is_io_error(tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]")
+    dgms = tmp_path / "dg.jsonl"
+    dgms.write_text(json.dumps({"dim": 0, "pairs": [[0, 0.5]], "cloud": 0, "label": 0}) + "\n")
+    out = tmp_path / "out.json"
+    assert run([command, "--model", str(model), "--input", str(dgms), "--out", str(out), "--dims", "0"]) == 4
+    assert "a model must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _ph_peak(tmp_path, pts, *options):

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from measureboost.graphs import Graph, graph_hks, graph_sublevel_diagrams
+from measureboost.ph.persistence import betti_oracle
+
+from filtered import complex_of
 
 
 def cycle_graph(n):
@@ -142,6 +145,34 @@ def test_sublevel_betti_match_union_find_oracle(seed, tied):
         for s_ in grid[grid >= r]:
             alive = np.sum((d0.pairs[:, 0] <= r) & (d0.pairs[:, 1] > s_))
             assert alive == sum(any(vals[v] <= r for v in c) for c in _components(g, vals, s_))
+
+
+@st.composite
+def tied_graphs(draw):
+    """A graph with integer vertex values 0..2, its edges in any order and
+    orientation."""
+    n = draw(st.integers(0, 8))
+    vals = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    if n < 2:
+        return Graph(n, ()), vals
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), unique_by=frozenset))
+    return Graph(n, tuple(edges)), vals
+
+
+@given(tied_graphs())
+@settings(max_examples=100, deadline=None)
+def test_sublevel_diagrams_match_betti_oracle(graph_vals):
+    g, vals = graph_vals
+    d0, d1 = graph_sublevel_diagrams(g, vals)
+    # the lower-star complex, sorted by (value, dimension, vertices) here
+    simplices = [((v,), vals[v]) for v in range(g.n)]
+    simplices += [((u, v), max(vals[u], vals[v])) for u, v in g.edges]
+    simplices.sort(key=lambda s: (s[1], len(s[0]), s[0]))
+    fc = complex_of(simplices, 2)
+    for r in np.linspace(-0.5, 2.5, 7):
+        assert d0.persistent_betti(r) == betti_oracle(fc, r, 0)
+        assert d1.persistent_betti(r) == betti_oracle(fc, r, 1)
 
 
 def test_sublevel_pairs_of_a_tied_path():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from measureboost.measures import Measure
-from measureboost.ph import FilteredComplex, cech_filtration, persistence, rips_filtration
+from measureboost.ph import cech_filtration, persistence, rips_filtration
 from measureboost.ph.complexes import (
     _cell_faces,
     _circumradius3,
@@ -24,6 +24,8 @@ from measureboost.ph.diagrams import (
     save_diagrams_jsonl,
 )
 from measureboost.ph.persistence import betti_oracle
+
+from filtered import complex_of
 
 
 def equilateral():
@@ -293,7 +295,7 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
         return
     # Delaunay-Cech: fewer simplices, the same persistence
     got = persistence(fc)
-    want = persistence(FilteredComplex(want, max_dim=max_dim))
+    want = persistence(complex_of(want, max_dim))
     assert [dg.dim for dg in got] == [dg.dim for dg in want]
     # Where d + 2 points share a sphere, the Delaunay cells are not unique and
     # another simplex on that sphere may kill a class: on a regular octagon a
@@ -384,6 +386,58 @@ def test_rips_build_holds_no_edge_mask(n, max_value, bound):
     assert peak < bound
 
 
+def test_kept_simplices_are_held_in_arrays():
+    # 60 points at infinity keep all 523,685 simplices up to dimension 3: one
+    # Python tuple per simplex would take the build's peak near 150 MB
+    pts = np.random.default_rng(0).uniform(0, 1, (60, 2))
+    import scipy.spatial  # noqa: F401  the builders import it lazily: keep it out of the peak
+
+    rips_filtration(pts, 3, np.inf)
+    tracemalloc.start()
+    try:
+        fc = rips_filtration(pts, 3, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, fc.values)) == 523_685
+    assert peak < 100e6
+
+
+def _line(n):
+    return np.column_stack([np.arange(float(n)), np.zeros(n)])
+
+
+_CLOUD = np.random.default_rng(4).uniform(0, 1, (12, 3))
+_BOTH = (cech_filtration, rips_filtration)
+
+
+@pytest.mark.parametrize(
+    "build, pts, max_dim, max_value, empty_from",
+    [
+        *[(b, np.empty((0, 2)), 2, np.inf, 0) for b in _BOTH],  # no vertex
+        *[(b, np.zeros((1, 2)), 2, np.inf, 1) for b in _BOTH],  # a vertex, no edge
+        *[(b, _line(5), 0, np.inf, None) for b in _BOTH],  # vertices only
+        (cech_filtration, _CLOUD[:, :2], 3, np.inf, 3),  # no Delaunay face above the plane
+        *[(b, _CLOUD, 3, "below the top", 3) for b in _BOTH],  # every tetrahedron clipped
+        *[(b, _line(6), 3, 0.5, 2) for b in _BOTH],  # neighbour edges, no triangle
+    ],
+)
+def test_complex_holds_one_array_pair_per_dimension(build, pts, max_dim, max_value, empty_from):
+    if max_value == "below the top":
+        max_value = np.nextafter(build(pts, max_dim, np.inf).values[max_dim].min(), -np.inf)
+    fc = build(pts, max_dim, max_value)
+    assert fc.max_dim == max_dim
+    assert len(fc.verts) == len(fc.values) == max_dim + 1
+    for k, (rows, values) in enumerate(zip(fc.verts, fc.values)):
+        assert np.issubdtype(rows.dtype, np.integer) and rows.shape == (len(values), k + 1)
+        assert values.dtype == float and values.shape == (len(rows),)
+        assert np.all(values[1:] >= values[:-1])
+        assert np.all(rows[:, 1:] > rows[:, :-1])  # increasing vertex rows
+    # nonempty below empty_from, empty from there on
+    assert [len(rows) > 0 for rows in fc.verts] == [empty_from is None or k < empty_from for k in range(max_dim + 1)]
+    assert [dg.dim for dg in persistence(fc)] == list(range(max_dim))
+
+
 def test_planar_cloud_has_no_h2():
     pts = np.random.default_rng(3).uniform(0, 1, size=(25, 2))
     h2 = next(dg for dg in persistence(cech_filtration(pts, max_dim=3, max_value=np.inf)) if dg.dim == 2)
@@ -406,9 +460,9 @@ def test_delaunay_cech_keeps_every_delaunay_face_at_inf():
     pts = np.random.default_rng(0).uniform(0, 1, size=(1500, 3))
     cells = np.sort(Delaunay(pts).simplices, axis=1).tolist()
     fc = cech_filtration(pts, max_dim=3, max_value=np.inf)
-    for size, group in enumerate(fc.by_dim(), 1):
+    for size, rows in enumerate(fc.verts, 1):
         faces = {face for cell in cells for face in itertools.combinations(cell, size)}
-        assert {verts for verts, _ in group} == faces
+        assert set(map(tuple, rows.tolist())) == faces
 
 
 @given(st.integers(0, 2**31 - 1))
