@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -161,8 +162,10 @@ class OneVsOneModel:
     def from_json(obj: dict) -> "OneVsOneModel":
         models = {}
         for key, sub in obj["models"].items():
-            i, j = key.split("-")
-            models[(int(i), int(j))] = Ensemble.from_json(sub)
+            pair = re.fullmatch(r"(-?\d+)-(-?\d+)", key)  # the labels may be negative: "-2--1"
+            if pair is None:
+                raise KeyError(f"model key {key!r} is not two integer labels joined by '-'")
+            models[(int(pair[1]), int(pair[2]))] = Ensemble.from_json(sub)
         return OneVsOneModel(models, tuple(obj["labels"]))
 
 

@@ -200,7 +200,9 @@ def _codes(simplices, n):
     """Integer codes of vertex rows that order like the rows' vertex tuples.
 
     In int64 whatever the rows' type (Qhull's cells are int32, whose codes
-    of 3 vertices would wrap from n = 1291 on); exact while n**4 < 2**63.
+    of 3 vertices would wrap from n = 1291 on); exact while n**k < 2**63 for
+    rows of k vertices, so `_cell_faces` sorts 4-vertex rows without codes
+    from n = 55109 on.
     """
     code = simplices[:, 0].astype(np.int64)
     for col in simplices.T[1:]:
@@ -213,6 +215,8 @@ def _cell_faces(cells, size, n):
     vertex indices), as lexicographically sorted rows."""
     columns = list(itertools.combinations(range(cells.shape[1]), size))
     subsets = cells[:, columns].reshape(-1, size)
+    if float(n) ** size >= 2.0**63:  # the codes would wrap: sort the rows themselves
+        return np.unique(subsets, axis=0)
     _, first = np.unique(_codes(subsets, n), return_index=True)
     return subsets[first]
 

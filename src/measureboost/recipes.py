@@ -118,9 +118,8 @@ def compute_diagrams(clouds, max_dim, max_value, workers=1):
     return _map(_cloud_diagrams, [(np.asarray(c), max_dim, max_value) for c in clouds], workers)
 
 
-def _graph_diagrams(args):
-    g, hks_time = args
-    return graph_sublevel_diagrams(g, graph_hks(g, hks_time))
+def _graph_diagrams(g):
+    return graph_sublevel_diagrams(g, graph_hks(g))
 
 
 def diagrams_to_feature_measure(dgms, dims, truncation, scale=1.0, gap=1.0, raw=None) -> Measure:
@@ -219,16 +218,19 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
     generate(class_id, index, seed) makes one item; per class the first
     n_train items train and the next n_test test.  diagrams(items, workers)
     gives each item's diagrams, by default the Čech diagrams of
-    cfg["filtration"]; featurize(item, diagrams) gives its feature measure,
+    cfg["filtration"], built up to dimension max(dims) + 1 (H_k dies by
+    (k+1)-simplices); featurize(item, diagrams) gives its feature measure,
     by default that section's dims and truncation.  Returns the report,
     plus for two classes the accuracy of the first weak classifier alone.
     """
+    flt = cfg["filtration"]
+    if diagrams is None:
+        if not flt["dims"] or not all(0 <= k <= 2 for k in flt["dims"]):
+            raise ConfigError(f"bad value for [filtration] dims: {flt['dims']!r} must list degrees from 0 to 2")
+        diagrams = lambda clouds, w: compute_diagrams(clouds, max(flt["dims"]) + 1, flt["max_value"], w)
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     seed = cfg["seeds"]["base"]
-    flt = cfg["filtration"]
-    if diagrams is None:
-        diagrams = lambda clouds, w: compute_diagrams(clouds, flt["max_dim"], flt["max_value"], w)
     if featurize is None:
         featurize = lambda _, dgms: diagrams_to_feature_measure(dgms, tuple(flt["dims"]), flt["truncation"])
     per = n_train + n_test
@@ -289,8 +291,8 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
 
 def ppp_vs_gpp_defaults():
     return {
-        "data": {"n_train": 400, "n_test": 200, "mean_count": 30, "radius": 1.0},
-        "filtration": {"max_dim": 2, "max_value": 2.0, "dims": (0, 1), "truncation": 2.0},
+        "data": {"n_train": 400, "n_test": 200},
+        "filtration": {"max_value": 2.0, "dims": (0, 1), "truncation": 2.0},
         "learner": {"n_centers": 25, "radius_quantiles": (0.05, 0.15, 0.3, 0.5)},
         "boosting": {"rounds": 15},
         "seeds": {"base": 0},
@@ -301,10 +303,10 @@ def ppp_vs_gpp_defaults():
 def run_ppp_vs_gpp(cfg: dict, workers=1):
     d = cfg["data"]
 
-    def gen(c, j, s):
+    def gen(c, j, s):  # 30 points expected in the unit disk
         if c == 0:
-            return datagen.sample_ppp_disk(d["mean_count"], d["radius"], s)
-        return datagen.sample_ginibre(d["mean_count"], s, d["radius"])
+            return datagen.sample_ppp_disk(30, 1.0, s)
+        return datagen.sample_ginibre(30, s, 1.0)
 
     return _classify(cfg, 2, d["n_train"] // 2, d["n_test"] // 2, gen, workers)
 
@@ -315,13 +317,10 @@ def torus_vs_sphere_defaults():
             "n_train": 100,
             "n_test": 100,
             "n_points": 500,
-            "outer_radius": 4.0,
-            "inner_radius": 2.0,
-            "sphere_radius": 6.0,
             "noise": 0.0,
             "randomized_size": False,
         },
-        "filtration": {"max_dim": 2, "max_value": 1.5, "dims": (1,), "truncation": 1.5},
+        "filtration": {"max_value": 1.5, "dims": (1,), "truncation": 1.5},
         "learner": {"n_centers": 15, "radius_quantiles": (0.05, 0.15, 0.3)},
         "boosting": {"rounds": 15},
         "seeds": {"base": 0},
@@ -333,16 +332,14 @@ def run_torus_vs_sphere(cfg: dict, workers=1):
     d = cfg["data"]
 
     def gen(c, j, s):
+        # a torus of radii R and R / 2 with R = 4 or, randomized, R in [3, 5];
+        # a sphere of radius 6 or, randomized, in [4, 7]
         rng = np.random.default_rng(s + 55609)
         if c == 0:
-            if d["randomized_size"]:
-                outer = rng.uniform(3.0, 5.0)
-                inner = outer / 2.0
-            else:
-                outer, inner = d["outer_radius"], d["inner_radius"]
-            pts = datagen.sample_torus(d["n_points"], outer, inner, s)
+            outer = rng.uniform(3.0, 5.0) if d["randomized_size"] else 4.0
+            pts = datagen.sample_torus(d["n_points"], outer, outer / 2.0, s)
         else:
-            radius = rng.uniform(4.0, 7.0) if d["randomized_size"] else d["sphere_radius"]
+            radius = rng.uniform(4.0, 7.0) if d["randomized_size"] else 6.0
             pts = datagen.sample_sphere(d["n_points"], radius, s)
         if d["noise"] > 0:
             pts = datagen.add_gaussian_noise(pts, d["noise"], s + 1)
@@ -366,21 +363,17 @@ def _thin_cloud(pts, res, cap):
         if c < cap:
             counts[key] = c + 1
             keep.append(i)
-    return pts[np.array(keep)]
+    return pts[np.array(keep, dtype=int)]
+
+
+# the orbit parameters of ORBIT5K (Adams et al., Persistence images, JMLR 2017), one class each
+_ORBIT5K_RHOS = (2.5, 3.5, 4.0, 4.1, 4.3)
 
 
 def orbit_defaults():
     return {
-        "data": {
-            "rhos": (2.5, 3.5, 4.0, 4.1, 4.3),
-            "n_train_per_class": 100,
-            "n_test_per_class": 50,
-            "orbit_length": 300,
-            "thin_resolution": 0.02,
-            "thin_cap": 2,
-        },
-        "filtration": {"max_dim": 2, "max_value": 0.08, "dims": (0, 1), "truncation": 0.08},
-        "features": {"include_raw": True, "diagram_scale": 10.0, "channel_gap": 10.0},
+        "data": {"n_train_per_class": 100, "n_test_per_class": 50, "orbit_length": 300},
+        "filtration": {"max_value": 0.08, "dims": (0, 1), "truncation": 0.08},
         "learner": {"n_centers": 60, "radius_quantiles": (0.005, 0.01, 0.02, 0.05, 0.1, 0.2)},
         "boosting": {"rounds": 20},
         "seeds": {"base": 0},
@@ -389,33 +382,23 @@ def orbit_defaults():
 
 
 def run_orbit_5class(cfg: dict, workers=1):
-    d, flt, feat = cfg["data"], cfg["filtration"], cfg["features"]
-    rhos = tuple(d["rhos"])
+    d, flt = cfg["data"], cfg["filtration"]
 
     def gen(c, j, s):
-        pts = datagen.orbit(rhos[c], d["orbit_length"], s)
-        return _thin_cloud(pts, d["thin_resolution"], d["thin_cap"])
+        return _thin_cloud(datagen.orbit(_ORBIT5K_RHOS[c], d["orbit_length"], s), 0.02, 2)
 
     def featurize(pts, dgms):
         # at 300-point orbits the raw occupancy pattern carries most of the
-        # class signal and the diagrams refine it
-        return diagrams_to_feature_measure(
-            dgms,
-            tuple(flt["dims"]),
-            flt["truncation"],
-            scale=feat["diagram_scale"],
-            gap=feat["channel_gap"],
-            raw=pts if feat["include_raw"] else None,
-        )
+        # class signal and the diagrams, scaled by 10, refine it
+        return diagrams_to_feature_measure(dgms, tuple(flt["dims"]), flt["truncation"], scale=10.0, gap=10.0, raw=pts)
 
-    return _classify(
-        cfg, len(rhos), d["n_train_per_class"], d["n_test_per_class"], gen, workers, featurize=featurize
-    )
+    n_classes = len(_ORBIT5K_RHOS)
+    return _classify(cfg, n_classes, d["n_train_per_class"], d["n_test_per_class"], gen, workers, featurize=featurize)
 
 
 def graph_hks_defaults():
     return {
-        "data": {"n_train": 80, "n_test": 40, "n_vertices": 20, "hks_time": 10.0},
+        "data": {"n_train": 80, "n_test": 40},
         "filtration": {"truncation": 1.5},
         "learner": {"n_centers": 15, "radius_quantiles": (0.05, 0.15, 0.3, 0.5)},
         "boosting": {"rounds": 10},
@@ -452,10 +435,10 @@ def _ring_of_cliques(n_cliques, clique_size) -> Graph:
 def run_graph_hks_demo(cfg: dict, workers=1):
     d = cfg["data"]
 
-    def gen(c, j, s):
+    def gen(c, j, s):  # 20-vertex graphs: random, or a ring of 5 cliques of 4 with a few chords
         if c == 0:
-            return _random_graph(d["n_vertices"], 0.25, s)
-        g = _ring_of_cliques(5, d["n_vertices"] // 5)
+            return _random_graph(20, 0.25, s)
+        g = _ring_of_cliques(5, 4)
         # sprinkle a few random chords so the class is not a single graph
         extra = _random_graph(g.n, 0.02, s + 1).edges
         return Graph(g.n, tuple(sorted(set(g.edges) | set(extra))))
@@ -467,7 +450,7 @@ def run_graph_hks_demo(cfg: dict, workers=1):
         d["n_test"] // 2,
         gen,
         workers,
-        diagrams=lambda graphs, w: _map(_graph_diagrams, [(g, d["hks_time"]) for g in graphs], w),
+        diagrams=lambda graphs, w: _map(_graph_diagrams, graphs, w),
         featurize=lambda _, dgms: diagrams_to_feature_measure(dgms, (0, 1), cfg["filtration"]["truncation"]),
     )
 
@@ -558,21 +541,21 @@ def run_limit_check(cfg: dict, workers=1):
 def rademacher_defaults():
     return {
         "data": {"sizes": (50, 100, 200, 400, 800, 1600), "n_draws": 300},
-        "learner": {"grid_side": 8, "radii": (0.1, 0.2, 0.35)},
         "seeds": {"base": 0},
         "output": {"dir": "out/rademacher"},
     }
 
 
 def run_rademacher_scaling(cfg: dict, workers=1):
-    """Estimate vs sample size for the ball-mass class on unit-mass measures."""
+    """Estimate vs sample size for the ball-mass class on unit-mass measures:
+    balls of radius 0.1, 0.2 and 0.35 around the cell centers of an 8 x 8
+    grid on the unit square."""
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     base = cfg["seeds"]["base"]
-    side = cfg["learner"]["grid_side"]
-    xs = (np.arange(side) + 0.5) / side
+    xs = (np.arange(8) + 0.5) / 8
     centers = [(x, y) for x in xs for y in xs]
-    regions = ball_grid(centers, cfg["learner"]["radii"])
+    regions = ball_grid(centers, (0.1, 0.2, 0.35))
 
     rows = []
     for i, n in enumerate(cfg["data"]["sizes"]):

@@ -132,6 +132,10 @@ def test_default_only_config_is_config_error(tmp_path, capsys):
         # small sizes, so that a run that reads the value as False ends quickly
         ("torus-vs-sphere", "[data]\nn_train = 2\nn_test = 2\nn_points = 20\nrandomized_size = maybe\n",
          "[data] randomized_size", "maybe"),
+        # the Čech recipes build up to dimension max(dims) + 1: dims must list degrees 0 to 2
+        ("torus-vs-sphere", "[filtration]\ndims =\n", "[filtration] dims", "()"),
+        ("ppp-vs-gpp", "[filtration]\ndims = 0 3\n", "[filtration] dims", "(0, 3)"),
+        ("orbit-5class-reduced", "[filtration]\ndims = -1\n", "[filtration] dims", "(-1,)"),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, capsys, recipe, text, key, raw):
@@ -141,6 +145,41 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, recipe, text, 
     err = capsys.readouterr().err
     assert key in err and raw in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, text, message",
+    [
+        # max_dim is max(dims) + 1, and the orbit features are fixed
+        ("torus-vs-sphere", "[filtration]\nmax_dim = 3\n", "unknown config key [filtration] max_dim"),
+        ("orbit-5class-reduced", "[features]\ninclude_raw = no\n", "unknown config section [features]"),
+    ],
+)
+def test_removed_config_key_is_config_error(tmp_path, capsys, recipe, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run(["recipe", recipe, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_torus_vs_sphere_trains_on_h2(tmp_path, capsys):
+    # dims = 2 builds up to tetrahedra, so the H2 diagrams are not empty
+    cfg = tmp_path / "h2.ini"
+    cfg.write_text("[data]\nn_train = 4\nn_test = 4\nn_points = 150\n\n"
+                   "[filtration]\nmax_value = 3.0\ntruncation = 3.0\ndims = 2\n")
+    assert run(["recipe", "torus-vs-sphere", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("accuracy ")
+    diagrams, _ = load_diagrams_jsonl(tmp_path / "out" / "train_diagrams.jsonl")
+    assert [dg.dim for dg in diagrams] == [0, 1, 2] * 4
+    assert all(len(dg) for dg in diagrams if dg.dim == 2)
+
+
+def test_empty_orbits_are_a_computation_error(tmp_path, capsys):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[data]\nn_train_per_class = 2\nn_test_per_class = 1\norbit_length = 0\n")
+    assert run(["recipe", "orbit-5class-reduced", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 5
+    assert "no training measure has a support point" in capsys.readouterr().err
 
 
 def _drop_field(path, field):
@@ -307,6 +346,44 @@ def test_recipe_multiclass_model_predicts_and_evaluates(tmp_path, capsys):
         capsys.readouterr()
         assert run(["eval", "--model", str(model_file), "--input", str(dgms), "--dims", "0"]) == 0
         assert capsys.readouterr().out == f"accuracy {np.mean(want == labels):.4f}\n"
+
+
+def _three_class_diagrams(path, classes):
+    rng = np.random.default_rng(0)
+    path.write_text("".join(
+        json.dumps({"dim": 0, "pairs": [[0, d] for d in (0.3 * i + rng.uniform(0, 0.2, 3)).tolist()],
+                    "cloud": 5 * i + j, "label": c}) + "\n"
+        for i, c in enumerate(classes) for j in range(5)
+    ))
+
+
+def test_negative_labels_round_trip_through_the_model_file(tmp_path, capsys):
+    # labels -2, -1 and 0 give the one-vs-one keys "-2--1", "-2-0" and "-1-0"
+    dgms, model, preds = tmp_path / "dg.jsonl", tmp_path / "model.json", tmp_path / "preds.jsonl"
+    _three_class_diagrams(dgms, (-2, -1, 0))
+    assert run(["train", "--input", str(dgms), "--out", str(model), "--rounds", "3", "--n-centers", "4",
+                "--dims", "0"]) == 0
+    assert sorted(json.loads(model.read_text())["models"]) == ["-1-0", "-2--1", "-2-0"]
+    assert run(["predict", "--model", str(model), "--input", str(dgms), "--out", str(preds), "--dims", "0"]) == 0
+    got = [json.loads(line)["prediction"] for line in preds.read_text().splitlines()]
+    assert set(got) <= {-2, -1, 0}
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model), "--input", str(dgms), "--dims", "0"]) == 0
+    assert capsys.readouterr().out == f"accuracy {np.mean(np.array(got) == np.repeat([-2, -1, 0], 5)):.4f}\n"
+
+
+@pytest.mark.parametrize("key", ["0-1-2", "0", "a-b", "0--", "1.5-2"])
+def test_model_key_that_is_not_two_labels_is_io_error(tmp_path, capsys, key):
+    dgms, model = tmp_path / "dg.jsonl", tmp_path / "model.json"
+    _three_class_diagrams(dgms, (0, 1, 2))
+    assert run(["train", "--input", str(dgms), "--out", str(model), "--rounds", "2", "--n-centers", "3",
+                "--dims", "0"]) == 0
+    obj = json.loads(model.read_text())
+    obj["models"][key] = obj["models"].pop("0-1")
+    model.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model), "--input", str(dgms), "--dims", "0"]) == 4
+    assert f"model key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dims, cause", [("1", "sit on k-means centers"), ("2", "no training measure has a support point")])

@@ -453,6 +453,20 @@ def test_cell_faces_of_int32_cells():
         assert np.array_equal(got, np.unique(got, axis=0))  # sorted rows
 
 
+@pytest.mark.parametrize(
+    "n, cells",
+    [
+        (70_000, [[30000, 30001, 30002, 30003], [0, 1, 2, 3]]),  # the first row's code wraps below 0
+        (2**17, [[0, 8193, 8194, 8195], [8192, 8193, 8194, 8195]]),  # codes equal mod 2**64
+    ],
+)
+def test_cell_faces_of_four_vertices_stay_exact_past_int64_codes(n, cells):
+    # a 3-D Delaunay build at max_dim 3 lists its tetrahedra as 4-vertex
+    # faces, whose codes n**4 exceed int64 from n = 55109 points on
+    got = _cell_faces(np.array(cells, dtype=np.int32), 4, n)
+    assert got.tolist() == sorted(cells)
+
+
 def test_delaunay_cech_keeps_every_delaunay_face_at_inf():
     from scipy.spatial import Delaunay
 

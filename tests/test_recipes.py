@@ -221,6 +221,7 @@ def test_thin_cloud_cap():
     assert len(out) == 3  # 2 from the dense cell + the lone point
     sparse = np.random.default_rng(0).uniform(size=(30, 2))
     np.testing.assert_array_equal(_thin_cloud(sparse, res=0.02, cap=2), sparse)
+    assert _thin_cloud(np.zeros((0, 2)), res=0.02, cap=2).shape == (0, 2)  # an empty orbit flows on
 
 
 def test_emit_rectangle_trace_schema(tmp_path):
@@ -268,6 +269,45 @@ def test_recipe_registry_names():
         d = defaults_fn()
         assert isinstance(d, dict) and "output" in d
         assert callable(runner)
+
+
+RECIPE_KEYS = {
+    "ppp-vs-gpp": {
+        ("data", "n_train"), ("data", "n_test"),
+        ("filtration", "max_value"), ("filtration", "dims"), ("filtration", "truncation"),
+        ("learner", "n_centers"), ("learner", "radius_quantiles"),
+        ("boosting", "rounds"), ("seeds", "base"), ("output", "dir"),
+    },
+    "torus-vs-sphere": {
+        ("data", "n_train"), ("data", "n_test"), ("data", "n_points"), ("data", "noise"), ("data", "randomized_size"),
+        ("filtration", "max_value"), ("filtration", "dims"), ("filtration", "truncation"),
+        ("learner", "n_centers"), ("learner", "radius_quantiles"),
+        ("boosting", "rounds"), ("seeds", "base"), ("output", "dir"),
+    },
+    "orbit-5class-reduced": {
+        ("data", "n_train_per_class"), ("data", "n_test_per_class"), ("data", "orbit_length"),
+        ("filtration", "max_value"), ("filtration", "dims"), ("filtration", "truncation"),
+        ("learner", "n_centers"), ("learner", "radius_quantiles"),
+        ("boosting", "rounds"), ("seeds", "base"), ("output", "dir"),
+    },
+    "graph-hks-demo": {
+        ("data", "n_train"), ("data", "n_test"), ("filtration", "truncation"),
+        ("learner", "n_centers"), ("learner", "radius_quantiles"),
+        ("boosting", "rounds"), ("seeds", "base"), ("output", "dir"),
+    },
+    "limit-check": {
+        ("setup", "name"), ("setup", "k"), ("data", "sizes"), ("data", "n_seeds"), ("data", "n_mc"),
+        ("rectangles", "r1"), ("rectangles", "r2"), ("rectangles", "r3"), ("seeds", "base"), ("output", "dir"),
+    },
+    "rademacher-scaling": {("data", "sizes"), ("data", "n_draws"), ("seeds", "base"), ("output", "dir")},
+}
+
+
+def test_recipe_config_keys_are_pinned():
+    # every key is a setting some caller makes; the count is a tracked number
+    keys = {name: {(sec, key) for sec, kv in fn().items() for key in kv} for name, (fn, _) in RECIPES.items()}
+    assert keys == RECIPE_KEYS
+    assert sum(map(len, keys.values())) == 56
 
 
 def test_rademacher_recipe_end_to_end(tmp_path):
