@@ -124,13 +124,12 @@ def _eval(args) -> int:
 
 
 def _bottleneck(args) -> int:
-    da, _ = load_diagrams_jsonl(args.first)
-    db, _ = load_diagrams_jsonl(args.second)
-    pick = lambda ds: next((d for d in ds if d.dim == args.dim), None)
-    a, b = pick(da), pick(db)
-    if a is None or b is None:
-        raise ValueError(f"no diagram of dim {args.dim} in one of the inputs")
-    print(bottleneck(a, b))
+    paths = (args.first, args.second)
+    found = [[d for d in load_diagrams_jsonl(path)[0] if d.dim == args.dim] for path in paths]
+    for path, ds in zip(paths, found):
+        if len(ds) != 1:
+            raise ValueError(f"{path} holds {len(ds)} diagrams of dim {args.dim}; bottleneck compares exactly one per file")
+    print(bottleneck(found[0][0], found[1][0]))
     return 0
 
 

@@ -1,13 +1,18 @@
 """Bottleneck distance between persistence diagrams.
 
-Exact computation: binary search over the finite set of candidate distances
+Exact computation over the finite set of candidate distances
 (point-to-point l-infinity distances and point-to-diagonal distances).  A
 candidate is feasible iff the point-to-point graph within it has a matching
 that covers every point farther than it from the diagonal; the diagonal
 never enters the graph, and Hopcroft-Karp (`scipy.sparse.csgraph`) finds
-the matching without recursion.  Points with infinite death must pair with
-infinite-death points of the other diagram; the distance is +inf when that
-is impossible.
+the matching without recursion.  Every point goes to the diagonal or to a
+partner, so no candidate is feasible below lb, the largest over all points
+of the smaller of its diagonal distance and its cost to the nearest
+partner; lb is probed first and returned if feasible.  Otherwise a binary
+search runs over the candidates in (lb, ub] only, where ub, the largest
+diagonal distance, is feasible: every point may go to the diagonal.
+Points with infinite death must pair with infinite-death points of the
+other diagram; the distance is +inf when that is impossible.
 """
 
 from __future__ import annotations
@@ -30,17 +35,22 @@ def _diag_dist(pairs):
 
 
 def _linf(pairs_a, pairs_b):
-    return np.max(np.abs(pairs_a[:, None, :] - pairs_b[None, :, :]), axis=-1)
+    births = np.abs(pairs_a[:, None, 0] - pairs_b[None, :, 0])
+    return np.maximum(births, np.abs(pairs_a[:, None, 1] - pairs_b[None, :, 1]))
 
 
-def _covers(adj, rows) -> bool:
+def _covers(adj) -> bool:
     """Does one matching of the bipartite graph `adj` (rows x columns) cover
-    every row in `rows`?  A maximum matching of those rows (Hopcroft-Karp)
-    answers it."""
+    every row?  A maximum matching (Hopcroft-Karp) answers it; its CSR
+    graph is built from the edge indices, row by row."""
     from scipy.sparse import csr_matrix  # slow to import: only here
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    return bool(np.all(maximum_bipartite_matching(csr_matrix(adj[rows]), perm_type="column") >= 0))
+    edges = np.flatnonzero(adj)  # row-major: row i owns [i * m, (i + 1) * m)
+    m = adj.shape[1]
+    indptr = np.searchsorted(edges, np.arange(len(adj) + 1) * m)
+    graph = csr_matrix((np.ones(len(edges), dtype=bool), edges % m, indptr), shape=adj.shape)
+    return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
 
 
 def _feasible(cost, diag_a, diag_b, delta) -> bool:
@@ -52,10 +62,7 @@ def _feasible(cost, diag_a, diag_b, delta) -> bool:
     one matching covers the far A-points and another the far B-points
     (Mendelsohn-Dulmage).
     """
-    adj = cost <= delta
-    return _covers(adj, np.flatnonzero(diag_a > delta)) and _covers(
-        adj.T, np.flatnonzero(diag_b > delta)
-    )
+    return _covers(cost[diag_a > delta] <= delta) and _covers(cost.T[diag_b > delta] <= delta)
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -72,9 +79,16 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     cost = _linf(fin1, fin2)
     diag1 = _diag_dist(fin1)
     diag2 = _diag_dist(fin2)
-    candidates = np.unique(
-        np.concatenate([cost.ravel(), diag1, diag2, [0.0]])
+    # no candidate below lb is feasible (see the module docstring)
+    lb = max(
+        np.minimum(diag1, cost.min(axis=1, initial=np.inf)).max(initial=0.0),
+        np.minimum(diag2, cost.min(axis=0, initial=np.inf)).max(initial=0.0),
     )
+    if _feasible(cost, diag1, diag2, lb):
+        return max(float(lb), ess)
+    ub = max(diag1.max(initial=0.0), diag2.max(initial=0.0))  # a feasible candidate
+    candidates = np.concatenate([cost.ravel(), diag1, diag2])
+    candidates = np.unique(candidates[(candidates > lb) & (candidates <= ub)])
     lo, hi = 0, len(candidates) - 1
     # smallest candidate delta that admits a feasible matching
     while lo < hi:

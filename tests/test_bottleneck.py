@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import numpy as np
@@ -54,6 +55,52 @@ def test_essential_points_match_on_birth():
     assert bottleneck(d1, d2) == pytest.approx(0.3)
 
 
+def _probes(monkeypatch):
+    """Record the deltas `bottleneck` tests for feasibility."""
+    module = importlib.import_module("measureboost.ph.bottleneck")
+    feasible, probes = module._feasible, []
+
+    def spy(cost, diag_a, diag_b, delta):
+        probes.append(float(delta))
+        return feasible(cost, diag_a, diag_b, delta)
+
+    monkeypatch.setattr(module, "_feasible", spy)
+    return probes
+
+
+def test_answer_at_the_lower_bound_takes_one_probe(monkeypatch):
+    probes = _probes(monkeypatch)
+    d1 = PersistenceDiagram(1, np.array([[0.0, 1.0]]))
+    d2 = PersistenceDiagram(1, np.array([[0.0, 1.2]]))
+    # lb = max over both points of min(diagonal, nearest partner) = 1.2 - 1.0
+    assert bottleneck(d1, d2) == 1.2 - 1.0 == pytest.approx(0.2)
+    assert probes == [1.2 - 1.0]
+
+
+def test_answer_above_the_lower_bound_is_searched(monkeypatch):
+    probes = _probes(monkeypatch)
+    d1 = PersistenceDiagram(1, np.array([[0.0, 1.0], [0.0, 1.1]]))
+    d2 = PersistenceDiagram(1, np.array([[0.0, 1.05]]))
+    # lb = 1.1 - 1.05 (about 0.05), but one A-point must go to the diagonal
+    assert bottleneck(d1, d2) == 0.5
+    assert probes[0] == 1.1 - 1.05 and len(probes) > 1
+    # then only (lb, ub], ub = 0.55 the largest diagonal distance
+    assert all(probes[0] < delta <= 0.55 for delta in probes[1:])
+
+
+def test_one_side_empty_is_the_largest_diagonal_distance():
+    e = PersistenceDiagram(1, np.empty((0, 2)))
+    d = PersistenceDiagram(1, np.array([[0.2, 0.5], [0.0, 1.0]]))
+    assert bottleneck(e, d) == bottleneck(d, e) == 0.5
+
+
+def test_zero_length_points_are_at_distance_zero():
+    e = PersistenceDiagram(1, np.empty((0, 2)))
+    d1 = PersistenceDiagram(1, np.array([[0.3, 0.3], [1.0, 1.0]]))
+    d2 = PersistenceDiagram(1, np.array([[0.5, 0.5]]))
+    assert bottleneck(d1, d2) == bottleneck(d2, d1) == bottleneck(d1, e) == 0.0
+
+
 @given(st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=400, deadline=None)  # about 200 of each kind
 def test_matches_bruteforce(seed, half_grid):
@@ -62,10 +109,8 @@ def test_matches_bruteforce(seed, half_grid):
     d2 = random_diagram(rng, half_grid=half_grid)
     fast = bottleneck(d1, d2)
     slow = bottleneck_bruteforce(d1, d2)
-    if np.isinf(slow):
-        assert np.isinf(fast)
-    else:
-        assert fast == pytest.approx(slow, abs=1e-12)
+    # both take the smallest feasible value of one candidate set
+    assert fast == slow
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -77,7 +122,7 @@ def test_pseudometric_properties(seed):
     d3 = random_diagram(rng, p_inf=0.0)
     ab = bottleneck(d1, d2)
     ba = bottleneck(d2, d1)
-    assert ab == pytest.approx(ba, abs=1e-12)
+    assert ab == ba
     assert ab >= 0
     ac = bottleneck(d1, d3)
     cb = bottleneck(d3, d2)
@@ -112,6 +157,7 @@ def test_300_pair_h0_needs_no_recursion(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     value = bottleneck(d1, d2)
     monkeypatch.undo()
+    assert bottleneck(d2, d1) == value
     # one essential class each, both born at 0, so the finite parts decide
     ess1, ess2 = (d.pairs[np.isinf(d.pairs[:, 1])] for d in (d1, d2))
     assert ess1.tolist() == ess2.tolist() == [[0.0, np.inf]]

@@ -95,13 +95,24 @@ def test_ph_meta_carries_cloud_and_label(tmp_path):
 
 def test_bottleneck_command(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
-    run(["gen", "--generator", "sphere", "--out", str(data), "--count", "2",
+    run(["gen", "--generator", "sphere", "--out", str(data), "--count", "1",
          "--n-points", "25", "--radius", "1.0", "--seed", "2"])
     dgms = tmp_path / "dg.jsonl"
     run(["ph", "--input", str(data), "--output", str(dgms), "--max-dim", "2",
          "--max-value", "1.5"])
     assert run(["bottleneck", str(dgms), str(dgms), "--dim", "1"]) == 0
     assert float(capsys.readouterr().out) == 0.0
+
+
+def test_bottleneck_of_a_file_with_two_diagrams_of_dim_is_value_error(tmp_path, capsys):
+    # comparing only the first diagram would print 0.0
+    two, one = tmp_path / "two.jsonl", tmp_path / "one.jsonl"
+    two.write_text('{"dim": 1, "pairs": [[0.1, 0.5]]}\n{"dim": 1, "pairs": [[0.1, 3.5]]}\n')
+    one.write_text('{"dim": 1, "pairs": [[0.1, 0.5]]}\n')
+    assert run(["bottleneck", str(two), str(one), "--dim", "1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(two) in captured.err and "2 diagrams of dim 1" in captured.err
 
 
 def test_missing_input_is_io_error(tmp_path):
