@@ -147,6 +147,13 @@ def _recipe(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="measureboost")
     sub = p.add_subparsers(dest="command", required=True)
@@ -154,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate synthetic point clouds")
     g.add_argument("--generator", required=True, choices=["torus", "sphere", "ppp", "ginibre", "orbit"])
     g.add_argument("--out", required=True)
-    g.add_argument("--count", type=int, default=1)
+    g.add_argument("--count", type=_positive_int, default=1)
     g.add_argument("--n-points", type=int, default=100)
     g.add_argument("--label", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         r.add_argument("--config", default=None)
         r.add_argument("--outdir", default=None)
         r.add_argument("--seed", type=int, default=None)
-        r.add_argument("--workers", type=int, default=1)
+        r.add_argument("--workers", type=_positive_int, default=1)
         r.set_defaults(func=_recipe)
 
     return p

@@ -1,4 +1,4 @@
-from .complexes import FilteredComplex, cech_filtration, rips_filtration, miniball_radius
+from .complexes import FilteredComplex, cech_filtration, rips_filtration
 from .persistence import persistence, betti_oracle
 from .diagrams import (
     PersistenceDiagram,
@@ -12,7 +12,6 @@ __all__ = [
     "FilteredComplex",
     "cech_filtration",
     "rips_filtration",
-    "miniball_radius",
     "persistence",
     "betti_oracle",
     "PersistenceDiagram",

@@ -27,9 +27,11 @@ back to the join on a cloud with a repeated point and when Qhull cannot
 be trusted with the cloud: a closest pair below sqrt(eps) times the
 bounding box diagonal, a Qhull error or a point left out (see
 `_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
-their full complex, with the top simplex sorted last.  Tetrahedra are
-valued by `miniball_radius` on stacks of vertex sets, one boundary subset
-at a time for the whole stack.  Each dimension's kept rows and values go
+their full complex, with the top simplex sorted last.  A triangle's Cech
+value is its circumradius, or half its longest edge when it is obtuse; a
+tetrahedron's is its circumradius when its circumcenter lies in it, and
+else its largest facet's value, bit for bit, so no tetrahedron outlives a
+triangle by rounding alone.  Each dimension's kept rows and values go
 into the `FilteredComplex` as arrays, sorted stably by value: no Python
 object is made per simplex.
 """
@@ -41,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FilteredComplex", "cech_filtration", "rips_filtration", "miniball_radius"]
+__all__ = ["FilteredComplex", "cech_filtration", "rips_filtration"]
 
 _JITTER_SEED = 715517
 # most candidate simplices of one dimension a build may list: edges, then the
 # join or Delaunay candidates of `_cofaces`, each counted before it is listed
 _BUDGET = 5_000_000
-_ROWS = 1 << 16  # tetrahedra whose miniballs are solved, or boundary columns listed, at a time
+_ROWS = 1 << 16  # tetrahedra whose circumballs are solved, or boundary columns listed, at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,50 +152,36 @@ def _solve_stacked(gram, rhs):
         return np.concatenate([_solve_stacked(gram[:half], rhs[:half]), _solve_stacked(gram[half:], rhs[half:])])
 
 
-def miniball_radius(pts: np.ndarray):
-    """Exact minimal enclosing ball radius of a small point set (<= 5 points):
-    a float for one (m, d) set, an array for an (N, m, d) stack of them.
+def _circumradius4(pts):
+    """Circumradius of each tetrahedron of an (N, 4, d) stack whose
+    circumcenter lies in the closed tetrahedron and whose vertices sit on
+    that sphere within a relative 1e-9 (a flat one's solve may miss it), else 0.
 
-    Enumerates boundary subsets and keeps the smallest enclosing candidate,
-    the first one in `itertools.combinations` order on ties; equivalent to
-    Welzl's recursion at these sizes.  Each subset's center solves a Gram
-    system in coordinates relative to the subset's first point: differences
-    of nearby points are exact, so the relative enclosure test holds at any
-    scale.  Every subset is solved for the whole stack at once.
+    A tetrahedron's minimal ball is its circumball iff the circumcenter lies
+    in it, and a facet's otherwise, so raised to the facet maximum this is the
+    Cech value, with that facet's bits.  The Gram system of the edges from the
+    first vertex solves for the center's other barycentric coordinates.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 2:
-        return float(miniball_radius(pts[None])[0])
-    n, m, d = pts.shape
-    best = np.full(n, np.inf)
-    for size in range(1, min(m, d + 1) + 1):
-        for subset in itertools.combinations(range(m), size):
-            rel = pts - pts[:, subset[:1]]
-            edges = rel[:, subset[1:]]
-            gram = edges @ edges.transpose(0, 2, 1)
-            alpha = _solve_stacked(gram, 0.5 * np.einsum("nij,nij->ni", edges, edges))
-            with np.errstate(invalid="ignore", over="ignore"):  # singular subsets give NaN or inf
-                center = (alpha[:, None] @ edges)[:, 0]
-                radius = np.sqrt((center[:, None] @ center[:, :, None])[:, 0, 0])
-                dmax = np.sqrt(np.max(np.sum((rel - center[:, None]) ** 2, axis=-1), axis=-1))
-            # NaN and infinite radii fail the first test
-            better = (radius < best) & (dmax <= radius * (1 + 1e-9))
-            best[better] = radius[better]
-    lost = np.isinf(best)  # numerically degenerate: fall back to the half diameter
-    if lost.any():
-        sets = pts[lost]
-        diam = np.linalg.norm(sets[:, :, None] - sets[:, None], axis=-1)
-        best[lost] = 0.5 * np.max(diam, axis=(1, 2))
-    return best
+    rel = pts - pts[:, :1]
+    edges = rel[:, 1:]
+    alpha = _solve_stacked(edges @ edges.transpose(0, 2, 1), 0.5 * np.einsum("nij,nij->ni", edges, edges))
+    with np.errstate(invalid="ignore", over="ignore"):  # singular systems give NaN or inf, which fail both tests
+        center = (alpha[:, None] @ edges)[:, 0]
+        radius = np.sqrt((center[:, None] @ center[:, :, None])[:, 0, 0])
+        dist = np.sqrt(np.sum((rel - center[:, None]) ** 2, axis=-1))
+        inside = np.all(alpha >= 0, axis=1) & (alpha.sum(axis=1) <= 1)
+        on_sphere = np.all(np.abs(dist - radius[:, None]) <= 1e-9 * radius[:, None], axis=1)
+    return np.where(inside & on_sphere, radius, 0.0)
 
 
 def _cech_value(points, simplices):
-    """Minimal enclosing ball radius of each row of vertex indices, solved
-    _ROWS tetrahedra at a time."""
+    """Minimal enclosing ball radius of each triangle row of vertex indices;
+    of each tetrahedron row, `_circumradius4`, solved _ROWS tetrahedra at a
+    time: a caller raises it to the facet maximum."""
     if simplices.shape[1] == 3:
         return _circumradius3(*points[simplices.T])
     starts = range(0, len(simplices), _ROWS)
-    return np.concatenate([np.empty(0)] + [miniball_radius(points[simplices[i : i + _ROWS]]) for i in starts])
+    return np.concatenate([np.empty(0)] + [_circumradius4(points[simplices[i : i + _ROWS]]) for i in starts])
 
 
 def _codes(simplices, n):
@@ -335,8 +323,8 @@ def _cofaces(points, faces, values, max_value, value_fn, cells):
 def _build_filtration(points, max_dim, max_value, value_fn):
     if not 0 <= max_dim <= 3:
         raise ValueError(f"max_dim must be between 0 and 3, got {max_dim}")
-    if np.isnan(max_value):  # every value test would fail and keep only the vertices
-        raise ValueError("max_value must not be NaN")
+    if not max_value >= 0:  # NaN fails every value test and keeps only the vertices, as a negative bound does
+        raise ValueError(f"max_value must be a number >= 0, got {max_value}")
     points = _as_cloud(points)
     n, d = points.shape
     verts = [np.arange(n)[:, None]] + [np.empty((0, k + 1), dtype=np.intp) for k in range(1, max_dim + 1)]

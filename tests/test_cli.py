@@ -532,13 +532,17 @@ def test_ph_max_dim_out_of_range_fails_before_writing(tmp_path, capsys):
 
 
 def test_ph_rejects_nan_max_value(tmp_path, capsys):
-    # against NaN every edge test fails, which kept only the vertices
+    # against NaN or a negative bound every edge test fails, which kept only
+    # the vertices, each an essential H0 class born above the bound
     data, _ = _orbit_diagrams(tmp_path)
     capsys.readouterr()
-    out = tmp_path / "dg-nan.jsonl"
-    assert run(["ph", "--input", str(data), "--output", str(out), "--max-value", "nan"]) == 5
-    assert "error: max_value must not be NaN" in capsys.readouterr().err
-    assert not out.exists()
+    for bound in ("nan", "-1"):
+        out = tmp_path / f"dg{bound}.jsonl"
+        assert run(["ph", "--input", str(data), "--output", str(out), "--max-value", bound]) == 5
+        assert f"error: max_value must be a number >= 0, got {float(bound)}" in capsys.readouterr().err
+        assert not out.exists()
+    # 0 keeps only the vertices, each an essential H0 class born at its bound
+    assert run(["ph", "--input", str(data), "--output", str(tmp_path / "dg0.jsonl"), "--max-value", "0"]) == 0
 
 
 def test_nan_truncation_names_the_flag(tmp_path, capsys):
@@ -592,9 +596,20 @@ def test_bottleneck_missing_dim_is_value_error(tmp_path):
 
 
 def test_argparse_error_exit_code(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["gen", "--generator", "not-a-generator", "--out", "x"])
-    assert exc.value.code == 2
+    # argparse exits 2 before any command runs, so no file is written
+    out = str(tmp_path / "x")
+    for argv in (
+        ["gen", "--generator", "not-a-generator", "--out", out],
+        ["gen", "--generator", "torus", "--out", out, "--count", "-2"],
+        ["gen", "--generator", "torus", "--out", out, "--count", "0"],
+        ["recipe", "torus-vs-sphere", "--workers", "0", "--outdir", out],
+        ["recipe", "torus-vs-sphere", "--workers", "-4", "--outdir", out],
+        ["limit-check", "--workers", "0", "--outdir", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert not os.path.exists(out)
 
 
 def test_recipe_alias_rademacher(tmp_path, capsys):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from measureboost.datagen import sample_sphere, sample_torus
 from measureboost.measures import Measure
 from measureboost.ph import cech_filtration, persistence, rips_filtration
 from measureboost.ph.complexes import (
+    _cech_value,
     _cell_faces,
     _circumradius3,
     _dedup_points,
     _delaunay_cells,
     _edges,
     _half_distances,
-    miniball_radius,
 )
 from measureboost.ph.diagrams import (
     PersistenceDiagram,
@@ -88,28 +89,11 @@ def test_rips_triangle_value_is_half_diameter():
     assert tri[1] == pytest.approx(0.5)
 
 
-def test_miniball_obtuse_triangle():
-    # obtuse: minimal enclosing ball is the half longest edge
-    pts = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 0.3]])
-    assert miniball_radius(pts) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_miniball_tiny_cluster_far_from_origin():
-    # a 1e-12 cluster at distance 1 has the radii of the same cluster moved
-    # to the origin and scaled up: the enclosure test is relative only
-    p = np.array([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4), 0.0])
-    pts = p + np.random.default_rng(0).normal(scale=1e-12, size=(5, 3))
-    for subset in itertools.combinations(range(5), 4):
-        q = pts[list(subset)]
-        scaled = miniball_radius((q - p) * 1e12) / 1e12
-        assert miniball_radius(q) == pytest.approx(scaled, rel=1e-9, abs=0)
-
-
 def _loop_miniball(pts):
     """The smallest boundary-subset ball that encloses every point within a
     relative 1e-9, the first in combinations order on ties, one subset at a
-    time, each solved relative to its first point: (radius, distance from its
-    center to the farthest point), or None when no subset ball encloses."""
+    time, each solved relative to its first point: (radius, center), or None
+    when no subset ball encloses."""
     n, d = pts.shape
     best = None
     for size in range(1, min(n, d + 1) + 1):
@@ -126,54 +110,99 @@ def _loop_miniball(pts):
             radius = float(np.linalg.norm(center))
             dmax = float(np.sqrt(np.max(np.sum((rel - center) ** 2, axis=1))))
             if dmax <= radius * (1 + 1e-9) and (best is None or radius < best[0]):
-                best = (radius, dmax)
+                best = (radius, pts[subset[0]] + center)
     return best
 
 
 @st.composite
-def miniball_sets(draw):
-    """1-4 sets of 4 or 5 points in the plane or in space: uniform, with
-    repeats, collinear, cocircular or cospherical, or 1e-12 clusters far from
-    the origin."""
-    m, d = draw(st.integers(4, 5)), draw(st.integers(2, 3))
+def four_point_sets(draw):
+    """1-4 sets of 4 points in 1 to 4 dimensions: uniform, with repeats,
+    collinear, cocircular or cospherical (often turned out of the coordinate
+    planes), or 1e-12 clusters far from the origin."""
+    d = draw(st.integers(1, 4))
     sets = []
     for _ in range(draw(st.integers(1, 4))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         layout = draw(st.sampled_from(["uniform", "repeated", "line", "sphere", "cluster"]))
         if layout == "line":
-            pts = rng.integers(-4, 5, size=(m, 1)) / 2 * rng.normal(size=d) + rng.normal(size=d)
-        elif layout == "sphere":  # angles on a pi/4 grid: many points share circles
-            a, b = rng.integers(0, 8, size=(2, m)) * np.pi / 4
-            pts = np.column_stack([np.cos(a), np.sin(a)])
-            if d == 3:
-                pts = np.column_stack([pts * np.sin(b)[:, None], np.cos(b)])
+            pts = rng.integers(-4, 5, size=(4, 1)) / 2 * rng.normal(size=d) + rng.normal(size=d)
+        elif layout == "sphere" and d > 1:  # angles on a pi/4 grid: many points share circles
+            a, b = rng.integers(0, 8, size=(2, 4)) * np.pi / 4
+            pts = np.zeros((4, d))
+            pts[:, :2] = np.column_stack([np.cos(a), np.sin(a)])
+            if d > 2 and draw(st.booleans()):
+                pts[:, :2] *= np.sin(b)[:, None]
+                pts[:, 2] = np.cos(b)
+            if draw(st.booleans()):
+                pts = pts @ np.linalg.qr(rng.normal(size=(d, d)))[0] + rng.normal(size=d)
         elif layout == "cluster":
             far = rng.normal(size=d)
-            pts = far / np.linalg.norm(far) * 10.0 ** rng.integers(0, 4) + rng.normal(scale=1e-12, size=(m, d))
+            pts = far / np.linalg.norm(far) * 10.0 ** rng.integers(0, 4) + rng.normal(scale=1e-12, size=(4, d))
         else:
-            pts = rng.uniform(-1, 1, size=(m, d))
+            pts = rng.uniform(-1, 1, size=(4, d))
         if layout == "repeated" or draw(st.booleans()):
-            pts[rng.integers(1, m, size=2)] = pts[0]
+            pts[rng.integers(1, 4, size=2)] = pts[0]
         sets.append(pts)
     return np.array(sets)
 
 
-@given(miniball_sets())
+def _tetrahedron_values(stack):
+    """Each 4-point set's value as the builder values a tetrahedron, and its
+    largest facet value: the circumradius rule raised to its facets' values,
+    each a triangle's raised to its edges'."""
+    half = _half_distances(stack)
+    facets = np.max([
+        np.maximum(_circumradius3(*stack[:, list(tri)].transpose(1, 0, 2)), half[:, tri, :][:, :, tri].max(axis=(1, 2)))
+        for tri in itertools.combinations(range(4), 3)
+    ], axis=0)
+    values = _cech_value(stack.reshape(-1, stack.shape[2]), np.arange(len(stack) * 4).reshape(-1, 4))
+    return np.maximum(values, facets), facets
+
+
+@given(four_point_sets())
 @example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]] * 4]))  # a singular row among others
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_batched_miniball_matches_subset_enumeration(stack):
-    got = miniball_radius(stack)
-    assert got.shape == (len(stack),)
-    for pts, radius in zip(stack, got):
-        want = _loop_miniball(pts)
-        half_diameter = _half_distances(pts).max()
-        if want is None:  # no subset ball encloses: the half diameter
-            assert radius == half_diameter
-            continue
-        assert radius == want[0]
-        assert want[1] <= radius * (1 + 1e-9)  # its ball encloses every point
-        assert half_diameter <= radius * (1 + 1e-9)  # as every enclosing ball does
-        assert miniball_radius(pts) == radius  # one set alone: the same arithmetic
+    # a tetrahedron takes its minimal ball's radius, and a facet's value bit
+    # for bit where that facet's ball holds the fourth vertex
+    got, facets = _tetrahedron_values(stack)
+    for pts, value, facet in zip(stack, got.tolist(), facets.tolist()):
+        radius, _ = _loop_miniball(pts)
+        assert abs(value - radius) <= 1e-9 * radius
+        for tri in itertools.combinations(range(4), 3):
+            r, center = _loop_miniball(pts[list(tri)])
+            (other,) = set(range(4)) - set(tri)
+            if np.linalg.norm(pts[other] - center) <= r * (1 - 1e-9):  # inside, not within rounding of the sphere
+                assert value == facet
+
+
+def test_miniball_tiny_cluster_far_from_origin():
+    # a 1e-12 cluster at distance 1 has the values of the same cluster moved
+    # to the origin and scaled up: the enclosure and equidistance tests are
+    # relative only
+    p = np.array([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4), 0.0])
+    pts = p + np.random.default_rng(0).normal(scale=1e-12, size=(5, 3))
+    stack = np.array([pts[list(subset)] for subset in itertools.combinations(range(5), 4)])
+    got, _ = _tetrahedron_values(stack)
+    scaled, _ = _tetrahedron_values((stack - p) * 1e12)
+    np.testing.assert_allclose(got, scaled / 1e12, rtol=1e-9, atol=0)
+    for q, value in zip(stack, got.tolist()):
+        radius, _ = _loop_miniball(q)
+        assert abs(value - radius) <= 1e-9 * radius
+
+
+def test_h2_keeps_no_pair_that_only_rounding_made():
+    # a tetrahedron whose minimal ball is a facet's takes that facet's value,
+    # so no H2 pair is born and killed by one ball: a radius solved apart
+    # from the facet's rounds differently, and left 223 pairs on this torus,
+    # 144 of them with d - b <= 1e-9, and 118 on the sphere, one void
+    torus = persistence(cech_filtration(sample_torus(150, 4.0, 2.0, 0), max_dim=3, max_value=3.0))[2]
+    assert torus.dim == 2 and len(torus) == 79
+    assert np.all(torus.pairs[:, 1] - torus.pairs[:, 0] > 1e-9)
+    sphere = persistence(cech_filtration(sample_sphere(300, 6.0, 0), max_dim=3, max_value=np.inf))[2]
+    assert sphere.pairs.shape == (1, 2)  # the one void
+    assert sphere.pairs[0, 0] == pytest.approx(2.0915644783105236, rel=1e-9)
+    assert abs(sphere.pairs[0, 1] - 6.0) <= 1e-12
 
 
 def test_max_value_truncates():
@@ -220,7 +249,8 @@ def brute_force_filtration(points, max_dim, max_value, cech):
                     # rows of one triple, as the builder passes them: 1-D sums may round differently
                     value = max(value, float(_circumradius3(*pts[list(verts), None])[0]))
                 elif cech:
-                    value = max(value, miniball_radius(pts[list(verts)]))
+                    # the circumradius or 0, raised to the facet maximum as above
+                    value = max(value, float(_cech_value(pts, np.array([verts]))[0]))
             if value <= max_value:
                 values[verts] = value
     return tuple(sorted(values.items(), key=lambda s: (s[1], len(s[0]), s[0])))
@@ -306,12 +336,7 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
     # dropping the pairs shorter than that, and every other cloud exactly.
     rtol = 0.0 if in_general_position(pts) else 1e-12
     for a, b in zip(got, want):
-        # miniball_radius accepts a ball that encloses within a relative 1e-9,
-        # so the enumeration's H2 holds many pairs of a triangle and a
-        # tetrahedron whose radii differ only by rounding (in the plane too,
-        # where H2 is empty): H2 drops the pairs shorter than that
-        short = 1e-9 if a.dim == 2 else rtol
-        np.testing.assert_allclose(_sorted_pairs(a, short), _sorted_pairs(b, short), rtol=rtol, atol=0)
+        np.testing.assert_allclose(_sorted_pairs(a, rtol), _sorted_pairs(b, rtol), rtol=rtol, atol=0)
 
 
 @given(
