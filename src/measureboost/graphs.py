@@ -75,9 +75,10 @@ def graph_sublevel_diagrams(g: Graph, values) -> tuple:
     """(D0, D1) of the lower-star filtration of a vertex function.
 
     A vertex enters at its value and an edge at the max of its endpoints;
-    `persistence` reduces the graph as a complex with no triangles, so every
-    cycle is essential in D1.  Zero-length pairs are kept: a vertex that
-    enters with its first edge still gives its (b, b) pair in D0.
+    `persistence` pairs the vertices with the edges by union-find, and the
+    complex has no triangles, so every cycle is essential in D1.
+    Zero-length pairs are kept: a vertex that enters with an edge that joins
+    it to an older component gives its (b, b) pair in D0.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (g.n,):

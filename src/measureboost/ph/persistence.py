@@ -1,12 +1,17 @@
-"""Persistence computation by column reduction of the GF(2) boundary matrix.
+"""Persistence pairs: a union-find for H0, column reduction above it.
 
 Block k has a column per k-simplex and a row per (k-1)-simplex, both in
-filtration order; a column's facets are found among the rows by one sort of
-the rows' integer codes (`_codes`) and a binary search per dropped vertex.
-Columns are Python integers used as bitsets over the rows: XOR is a single
-C-level operation and the pivot is `bit_length() - 1`.  The blocks reduce
-independently, top dimension first, so the clearing shortcut (skip columns
-known to be births) applies.
+filtration order.  Block 1 (edges against vertices) pairs by union-find
+(Edelsbrunner & Harer, Computational Topology, VII.1): an edge that joins
+two components kills the younger one's oldest vertex (the elder rule).
+That is the pivot the column reduction of the vertex-edge matrix finds, as
+the pairing does not depend on how the matrix is reduced, so the pairs are
+the same.  Blocks k >= 2 reduce over GF(2): a column's facets are found
+among the rows by one sort of the rows' integer codes (`_codes`) and a
+binary search per dropped vertex, and columns are Python integers used as
+bitsets over the rows: XOR is a single C-level operation and the pivot is
+`bit_length() - 1`.  The blocks pair independently, top dimension first,
+so the clearing shortcut (skip columns known to be births) applies.
 """
 
 from __future__ import annotations
@@ -17,6 +22,32 @@ from .complexes import _ROWS, FilteredComplex, _codes
 from .diagrams import PersistenceDiagram
 
 __all__ = ["persistence", "betti_oracle"]
+
+
+def _union_find_block(rows, cols, cleared):
+    """Pair block 1, edges against vertices, as `_reduce_block` would.
+
+    Each component's root is its oldest vertex, the least row position.  The
+    edges join components in filtration order; one that joins two roots is a
+    pivot column, its pivot row the younger root, which then hangs under the
+    older.  The cleared edges are skipped: each closes a cycle.
+    """
+    position = np.empty(int(rows.max()) + 1, dtype=np.intp)
+    position[rows[:, 0]] = np.arange(len(rows))
+    live = np.delete(np.arange(len(cols)), list(cleared))
+    ends = position[cols[live]]
+    root, pivots = list(range(len(rows))), {}
+    for j, a, b in zip(live.tolist(), ends[:, 0].tolist(), ends[:, 1].tolist()):
+        while root[a] != a:  # path halving
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            root[b] = a
+            pivots[j] = b
+    return pivots
 
 
 def _reduce_block(rows, cols, cleared):
@@ -61,6 +92,10 @@ def persistence(
     the finite pairs of H_{k-1}, and its pivot rows are the births of those
     pairs, so block k-1 skips their columns.  The k-simplices that are
     neither such a birth nor a pivot column of block k give death = +inf.
+    Block 1 pairs by union-find (the elder rule), the blocks above by column
+    reduction.  A block's pivots are the same for every reduction of it, and
+    the elder rule's pairs are the pivots of the vertex-edge block, so both
+    give the pairs of one reduction of the whole boundary matrix.
     Zero-length pairs (birth == death) are dropped unless
     `include_zero_length`.
     """
@@ -68,7 +103,7 @@ def persistence(
     for k in range(fc.max_dim, -1, -1):
         pivots, values = {}, fc.values[k]
         if k and len(values):
-            pivots = _reduce_block(fc.verts[k - 1], fc.verts[k], killed)
+            pivots = (_reduce_block if k > 1 else _union_find_block)(fc.verts[k - 1], fc.verts[k], killed)
         if k < fc.max_dim:  # finite pairs from block k + 1, then the essential classes
             essential = np.ones(len(values), dtype=bool)
             essential[list(killed)] = essential[list(pivots)] = False

@@ -227,6 +227,8 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
     if diagrams is None:
         if not flt["dims"] or not all(0 <= k <= 2 for k in flt["dims"]):
             raise ConfigError(f"bad value for [filtration] dims: {flt['dims']!r} must list degrees from 0 to 2")
+        if not flt["max_value"] >= 0:  # also NaN
+            raise ConfigError(f"bad value for [filtration] max_value: {flt['max_value']!r} must be a number >= 0")
         diagrams = lambda clouds, w: compute_diagrams(clouds, max(flt["dims"]) + 1, flt["max_value"], w)
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -487,8 +489,6 @@ def _density_moment(setup, k):
 
 
 def run_limit_check(cfg: dict, workers=1):
-    outdir = cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
     setup = cfg["setup"]["name"]
     if setup not in _SETUP_DIM:
         raise ConfigError(f"bad value for [setup] name: {setup!r}")
@@ -530,6 +530,8 @@ def run_limit_check(cfg: dict, workers=1):
                 est, se = mu_hat[name]
                 rows.append((setup, n, s, name, r_n, xi, est, se))
 
+    outdir = cfg["output"]["dir"]
+    os.makedirs(outdir, exist_ok=True)
     with open(f"{outdir}/limit_check.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["setup", "n", "seed", "rect", "r_n", "xi", "mu_hat", "mu_stderr"])

@@ -147,6 +147,10 @@ def test_default_only_config_is_config_error(tmp_path, capsys):
         ("torus-vs-sphere", "[filtration]\ndims =\n", "[filtration] dims", "()"),
         ("ppp-vs-gpp", "[filtration]\ndims = 0 3\n", "[filtration] dims", "(0, 3)"),
         ("orbit-5class-reduced", "[filtration]\ndims = -1\n", "[filtration] dims", "(-1,)"),
+        ("torus-vs-sphere", "[filtration]\nmax_value = -1\n", "[filtration] max_value", "-1.0"),
+        ("ppp-vs-gpp", "[filtration]\nmax_value = nan\n", "[filtration] max_value", "nan"),
+        ("limit-check", "[setup]\nname = disk\n", "[setup] name", "'disk'"),
+        ("limit-check", "[rectangles]\nr1 = 0.5 1.0 2.0\n", "[rectangles] r1", "(0.5, 1.0, 2.0)"),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, capsys, recipe, text, key, raw):
@@ -505,9 +509,9 @@ def test_limit_check_degree_2_needs_a_3d_setup(tmp_path, capsys, setup):
     # both setups lie in the plane, where degree 2 reads 0 whatever the cloud
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[setup]\nname = {setup}\nk = 2\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
-    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 5
     assert f"error: k = 2 needs a 3-D setup: {setup!r} lies in the plane" in capsys.readouterr().err
-    assert not (tmp_path / "limit_check.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", [-1, 3])

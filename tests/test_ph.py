@@ -1,12 +1,15 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from measureboost import graphs
 from measureboost.datagen import sample_sphere, sample_torus
+from measureboost.limits import r_n_schedule
 from measureboost.measures import Measure
 from measureboost.ph import cech_filtration, persistence, rips_filtration
 from measureboost.ph.complexes import (
@@ -24,7 +27,7 @@ from measureboost.ph.diagrams import (
     load_diagrams_jsonl,
     save_diagrams_jsonl,
 )
-from measureboost.ph.persistence import betti_oracle
+from measureboost.ph.persistence import _reduce_block, _union_find_block, betti_oracle
 
 from filtered import complex_of
 
@@ -161,12 +164,21 @@ def _tetrahedron_values(stack):
 
 @given(four_point_sets())
 @example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]] * 4]))  # a singular row among others
+@example(np.array([[  # a cluster whose circumcenter lies inside: its value is the circumradius, exactly
+    [531.5650773736287, -843.8442622382438, -73.24909285695394],
+    [531.5650773736294, -843.8442622382422, -73.24909285695328],
+    [531.5650773736269, -843.8442622382437, -73.24909285695394],
+    [531.565077373627, -843.8442622382416, -73.24909285695239],
+]]))
 @settings(max_examples=500, deadline=None)
 def test_batched_miniball_matches_subset_enumeration(stack):
     # a tetrahedron takes its minimal ball's radius, and a facet's value bit
     # for bit where that facet's ball holds the fourth vertex
     got, facets = _tetrahedron_values(stack)
     for pts, value, facet in zip(stack, got.tolist(), facets.tolist()):
+        # the oracle works relative to the first point: on a 1e-12 cluster at
+        # distance 1e3, an absolute center rounds by about 7% of the radius
+        pts = pts - pts[0]
         radius, _ = _loop_miniball(pts)
         assert abs(value - radius) <= 1e-9 * radius
         for tri in itertools.combinations(range(4), 3):
@@ -538,6 +550,62 @@ def test_k_plus_2_points_have_one_k_pair(k, d, data):
     assert len(top) == k + 2
     for _, r in fc.simplices:
         assert (betti_oracle(fc, r, k) == 1) == (birth <= r < death)
+
+
+def assert_union_find_pivots_match_reduction(fc):
+    """Block 1's union-find gives the pivots of its column reduction, in
+    column order, with no column cleared and with block 2's births cleared."""
+    rows, cols = fc.verts[0], fc.verts[1]
+    cleared = [set()]
+    if fc.max_dim >= 2 and len(fc.values[2]):
+        cleared.append(set(_reduce_block(cols, fc.verts[2], set()).values()))
+    for skip in cleared:
+        assert list(_union_find_block(rows, cols, skip).items()) == list(_reduce_block(rows, cols, skip).items())
+
+
+@given(
+    degenerate_clouds(min_n=2),
+    st.integers(1, 3),
+    st.sampled_from([0.3, 0.6, 1.0, np.inf]),
+    st.sampled_from([cech_filtration, rips_filtration]),
+)
+@settings(max_examples=200, deadline=None)
+def test_union_find_pivots_match_reduction_on_small_clouds(pts, max_dim, max_value, build):
+    assert_union_find_pivots_match_reduction(build(pts, max_dim, max_value))
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_union_find_pivots_match_reduction_on_rounded_clouds(seed):
+    # coordinates on a grid of step 1/4: repeated points and tied values
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+    pts = np.round(rng.uniform(0, 2, size=(n, d)) * 4) / 4
+    build = rips_filtration if rng.integers(2) else cech_filtration
+    fc = build(pts, max_dim=int(rng.integers(1, 4)), max_value=float(rng.choice([0.3, 0.6, np.inf])))
+    assert_union_find_pivots_match_reduction(fc)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_union_find_pivots_match_reduction_on_graphs(seed):
+    # a lower-star complex: vertices in value order, not in index order, and
+    # tied integer values, so edges enter with their vertices
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < 0.2]
+    with mock.patch.object(graphs, "persistence", wraps=persistence) as spy:
+        graphs.graph_sublevel_diagrams(graphs.Graph(n, tuple(edges)), rng.integers(0, 4, size=n).astype(float))
+    assert_union_find_pivots_match_reduction(spy.call_args.args[0])
+
+
+def test_union_find_pivots_match_reduction_at_limits_size():
+    # the degree-0 limit check: 2000 points of the square at the r_n scale
+    r_n = r_n_schedule(2000, 0, 2)
+    pts = np.random.default_rng(0).uniform(0, 1, size=(2000, 2)) / r_n
+    fc = cech_filtration(pts, max_dim=1, max_value=2.5)
+    assert len(fc.values[1]) > 2000
+    assert_union_find_pivots_match_reduction(fc)
 
 
 def test_include_zero_length_flag():
