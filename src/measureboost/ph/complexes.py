@@ -49,7 +49,7 @@ _JITTER_SEED = 715517
 # most candidate simplices of one dimension a build may list: edges, then the
 # join or Delaunay candidates of `_cofaces`, each counted before it is listed
 _BUDGET = 5_000_000
-_ROWS = 1 << 16  # tetrahedra whose circumballs are solved, or boundary columns listed, at a time
+_ROWS = 1 << 16  # tetrahedra whose circumballs are solved at a time
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,11 +49,6 @@ class PersistenceDiagram:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def persistent_betti(self, r: float) -> int:
-        """Number of features alive at scale r: pairs with birth <= r < death."""
-        b, d = self.pairs[:, 0], self.pairs[:, 1]
-        return int(np.sum((b <= r) & (r < d)))
-
 
 def diagram_to_measure(diagram: PersistenceDiagram, truncation: float | None = None) -> Measure:
     """Unit-weight measure on the plane with one point (b, d - b) per pair.

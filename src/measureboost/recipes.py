@@ -493,6 +493,8 @@ def run_limit_check(cfg: dict, workers=1):
     if setup not in _SETUP_DIM:
         raise ConfigError(f"bad value for [setup] name: {setup!r}")
     k, d = cfg["setup"]["k"], _SETUP_DIM[setup]
+    if k not in (0, 1, 2):
+        raise ConfigError(f"bad value for [setup] k: {k!r} must be in 0..2")
     if k == 2:  # every setup lies in the plane
         raise ValueError(
             f"k = 2 needs a 3-D setup: {setup!r} lies in the plane, where every degree-2 count and limit is 0"

@@ -44,9 +44,6 @@ class Ball:
             out += np.square(np.subtract(x, c, out=tmp), out=tmp)
         return out
 
-    def contains_many(self, points: np.ndarray) -> np.ndarray:
-        return self.sq_distances(points) <= self.radius**2
-
 
 # --- JSON encoding: {"type": "ball", "center": [...], "radius": r} ---------
 

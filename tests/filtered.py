@@ -1,5 +1,6 @@
 """A FilteredComplex from (verts, value) pairs: the tests' way to hand an
-enumerated complex to `persistence` and `betti_oracle`."""
+enumerated complex to `persistence` and `betti_oracle`; and the homology
+reduction of one boundary block, which judges the pairs `persistence` finds."""
 
 import numpy as np
 
@@ -14,3 +15,30 @@ def complex_of(simplices, max_dim):
         tuple(np.array([v for v, _ in g], dtype=np.intp).reshape(-1, k + 1) for k, g in enumerate(groups)),
         tuple(np.array([x for _, x in g], dtype=float) for g in groups),
     )
+
+
+def reduce_block(rows, cols):
+    """The homology reduction of one boundary block, left to right over
+    GF(2), each column a Python-int bitset over the rows: the oracle of the
+    pairs `persistence` finds.
+
+    rows, cols: vertex rows of the (k-1)- and k-simplices in filtration order.
+
+    Returns {column position: pivot row position} for the columns that do
+    not reduce to zero, in column order; each is a finite pair.
+    """
+    position = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    pivot_col, pivots = {}, {}
+    for j, verts in enumerate(map(tuple, cols.tolist())):
+        col = 0
+        for s in range(len(verts)):
+            col ^= 1 << position[verts[:s] + verts[s + 1 :]]
+        while col:
+            low = col.bit_length() - 1
+            other = pivot_col.get(low)
+            if other is None:
+                pivot_col[low] = col
+                pivots[j] = low
+                break
+            col ^= other
+    return pivots

@@ -516,12 +516,12 @@ def test_limit_check_degree_2_needs_a_3d_setup(tmp_path, capsys, setup):
 
 @pytest.mark.parametrize("k", [-1, 3])
 def test_limit_check_above_degree_2_fails_before_writing(tmp_path, capsys, k):
-    # degrees outside 0..2 fail in the Monte-Carlo estimate, before the CSV
+    # a degree outside 0..2 is a config error, refused before the output directory exists
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[setup]\nk = {k}\n\n[data]\nsizes = 50\nn_seeds = 1\nn_mc = 10\n")
-    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path)]) == 5
-    assert f"error: k must be in 0..2, got {k}" in capsys.readouterr().err
-    assert not (tmp_path / "limit_check.csv").exists()
+    assert run(["limit-check", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+    assert f"bad value for [setup] k: {k}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ph_max_dim_out_of_range_fails_before_writing(tmp_path, capsys):

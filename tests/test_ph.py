@@ -27,9 +27,10 @@ from measureboost.ph.diagrams import (
     load_diagrams_jsonl,
     save_diagrams_jsonl,
 )
-from measureboost.ph.persistence import _reduce_block, _union_find_block, betti_oracle
+from measureboost.ph.persistence import _coboundary_block, _union_find_block, betti_oracle
 
-from filtered import complex_of
+from filtered import complex_of, reduce_block
+from membership import persistent_betti
 
 
 def equilateral():
@@ -312,10 +313,12 @@ def in_general_position(pts):
     return True
 
 
-def _sorted_pairs(dg, rtol):
-    """The essential pairs and the pairs longer than rtol times their death, sorted."""
+def _sorted_pairs(dg, rtol, cut):
+    """The essential pairs and the pairs longer than rtol times their death,
+    sorted, with a death within rtol of the cut made essential."""
     b, d = dg.pairs.T
-    p = dg.pairs[d - b > rtol * np.where(np.isinf(d), 0.0, d)]
+    p = dg.pairs[d - b > rtol * np.where(np.isinf(d), 0.0, d)].copy()
+    p[p[:, 1] >= cut * (1 - rtol), 1] = np.inf
     return p[np.lexsort((p[:, 1], p[:, 0]))]
 
 
@@ -346,9 +349,14 @@ def assert_matches_enumeration(pts, max_dim, max_value, kind):
     # points on or within rounding of a common sphere or hyperplane (half
     # grids, circles, repeated points) compare within a relative 1e-12, after
     # dropping the pairs shorter than that, and every other cloud exactly.
+    # The same rounding decides the cut: a simplex valued within rounding of
+    # max_value may fall on either side of it, so a death within rtol of
+    # max_value counts as the cut, an essential class.
     rtol = 0.0 if in_general_position(pts) else 1e-12
     for a, b in zip(got, want):
-        np.testing.assert_allclose(_sorted_pairs(a, rtol), _sorted_pairs(b, rtol), rtol=rtol, atol=0)
+        np.testing.assert_allclose(
+            _sorted_pairs(a, rtol, max_value), _sorted_pairs(b, rtol, max_value), rtol=rtol, atol=0
+        )
 
 
 @given(
@@ -368,8 +376,15 @@ def test_builders_match_all_subsets_enumeration(pts, max_dim, max_value, kind):
     assert_matches_enumeration(pts, max_dim, max_value, kind)
 
 
+# five points of the unit circle: the Delaunay cell holding the center rounds its circumradius
+# to 1.0000000000000002 and is cut, while the full complex kills the H1 class at exactly 1.0
+# with a right-angled triangle
+_FIVE_ANGLES = np.pi * np.array([0, 0.5, 1.5, 0.25, 1])
+
+
 @given(degenerate_clouds(min_n=5, min_d=2), st.integers(2, 3), st.sampled_from([0.3, 0.6, 1.0, np.inf]))
 @example(np.tile([np.cos(3 * np.pi / 4), np.sin(3 * np.pi / 4), 0.0], (5, 1)), 3, 0.3)  # copies of one point
+@example(np.column_stack([np.cos(_FIVE_ANGLES), np.sin(_FIVE_ANGLES)]), 2, 1.0)
 @settings(max_examples=300, deadline=None)
 def test_delaunay_cech_matches_all_subsets_enumeration(pts, max_dim, max_value):
     # the inputs of the Delaunay path, which the test above draws rarely
@@ -421,6 +436,20 @@ def test_rips_build_holds_no_edge_mask(n, max_value, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_persistence_keeps_no_bitset_for_apparent_pairs():
+    # 20 000 uniform points at 0.005: most triangle-block pairs are apparent,
+    # and a Python-int bitset kept for every pivot column peaked at 210 MB
+    pts = np.random.default_rng(0).uniform(0, 1, (20_000, 2))
+    fc = rips_filtration(pts, 2, 0.005)
+    tracemalloc.start()
+    try:
+        persistence(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_kept_simplices_are_held_in_arrays():
@@ -530,7 +559,7 @@ def test_diagram_counts_match_betti_oracle(seed):
     scales = np.linspace(0.05, 1.2, 7)
     for dg in dgms:
         for r in scales:
-            assert dg.persistent_betti(r) == betti_oracle(fc, r, dg.dim)
+            assert persistent_betti(dg, r) == betti_oracle(fc, r, dg.dim)
 
 
 @given(
@@ -554,13 +583,33 @@ def test_k_plus_2_points_have_one_k_pair(k, d, data):
 
 def assert_union_find_pivots_match_reduction(fc):
     """Block 1's union-find gives the pivots of its column reduction, in
-    column order, with no column cleared and with block 2's births cleared."""
-    rows, cols = fc.verts[0], fc.verts[1]
-    cleared = [set()]
-    if fc.max_dim >= 2 and len(fc.values[2]):
-        cleared.append(set(_reduce_block(cols, fc.verts[2], set()).values()))
-    for skip in cleared:
-        assert list(_union_find_block(rows, cols, skip).items()) == list(_reduce_block(rows, cols, skip).items())
+    column order."""
+    births, deaths = _union_find_block(fc.verts[0], fc.verts[1])
+    assert list(zip(deaths.tolist(), births.tolist())) == list(reduce_block(fc.verts[0], fc.verts[1]).items())
+
+
+@given(
+    degenerate_clouds(min_n=2),
+    st.integers(1, 3),
+    st.sampled_from([0.3, 0.6, 1.0, np.inf]),
+    st.sampled_from([cech_filtration, rips_filtration]),
+)
+@settings(max_examples=200, deadline=None)
+def test_coboundary_pairs_match_reduction_on_small_clouds(pts, max_dim, max_value, build):
+    # each block k >= 2 cleared by block k - 1's deaths, as `persistence` clears it
+    fc = build(pts, max_dim, max_value)
+    deaths = _union_find_block(fc.verts[0], fc.verts[1])[1] if len(fc.values[1]) else np.empty(0, dtype=np.intp)
+    for k in range(2, fc.max_dim + 1):
+        if not len(fc.values[k]):
+            break
+        cleared = np.zeros(len(fc.values[k - 1]), dtype=bool)
+        cleared[deaths] = True
+        births, deaths = _coboundary_block(fc.verts[k - 1], fc.verts[k], cleared)
+        pairs = dict(zip(deaths.tolist(), births.tolist()))
+        assert len(pairs) == len(deaths)
+        assert pairs == reduce_block(fc.verts[k - 1], fc.verts[k])
+        # the cleared rows are deaths of block k - 1, never births of block k
+        assert not cleared[births].any()
 
 
 @given(
@@ -675,6 +724,6 @@ def test_diagrams_jsonl_roundtrip(tmp_path):
 
 def test_persistent_betti_counts_open_interval():
     dg = PersistenceDiagram(0, np.array([[0.0, 1.0], [0.0, np.inf]]))
-    assert dg.persistent_betti(0.5) == 2
-    assert dg.persistent_betti(1.0) == 1  # death at exactly r is dead
-    assert dg.persistent_betti(5.0) == 1
+    assert persistent_betti(dg, 0.5) == 2
+    assert persistent_betti(dg, 1.0) == 1  # death at exactly r is dead
+    assert persistent_betti(dg, 5.0) == 1
