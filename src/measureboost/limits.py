@@ -6,14 +6,13 @@ and Monte-Carlo empirical Rademacher complexity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import mass_matrix
-from .ph.complexes import _cech_value, _half_distances
+from .ph.complexes import _ROWS, _cech_value, _faces
 from .ph.complexes import cech_filtration  # not called here; perfbench's tracer test wraps limits.cech_filtration
 from .ph.diagrams import PersistenceDiagram
 
@@ -99,21 +98,20 @@ def _ball_volume(d: int, radius: float) -> float:
 def _one_pair(pts):
     """Birth and death of the one k-pair of each stacked (N, k+2, d) sample.
 
-    The faces are valued as the Cech builder values the full complex of k+2
-    points: half distances on edges, and above them the enclosing radius
-    raised to the facet maximum.  The pair is born with the last k-simplex
-    and killed by the top simplex.
+    The builder's own loop, `_faces`, builds the Cech complexes of at most
+    _ROWS samples at a time (so the row codes stay exact), each sample one
+    cell.  The rows come back sorted, so sample i owns the i-th run of k+2
+    k-simplices: its pair is born with the largest and killed by the top one.
     """
     n, m, d = pts.shape
-    half = _half_distances(pts)
-    value = {(i, j): half[:, i, j] for i, j in itertools.combinations(range(m), 2)}
-    flat, offsets = pts.reshape(-1, d), np.arange(n)[:, None] * m
-    for size in range(3, m + 1):
-        for verts in itertools.combinations(range(m), size):
-            facets = np.max([value[f] for f in itertools.combinations(verts, size - 1)], axis=0)
-            value[verts] = np.maximum(_cech_value(flat, offsets + verts), facets)
-    birth = np.max([value[f] for f in itertools.combinations(range(m), m - 1)], axis=0)
-    return birth, value[tuple(range(m))]
+    births, deaths = [], []
+    for start in range(0, n, _ROWS):
+        block = pts[start : start + _ROWS].reshape(-1, d)
+        cells = np.arange(len(block)).reshape(-1, m)
+        *_, (_, below), (_, top) = _faces(block, m - 1, np.inf, _cech_value, cells)
+        births.append(below.reshape(-1, m).max(axis=1))
+        deaths.append(top)
+    return np.concatenate(births), np.concatenate(deaths)
 
 
 def mu_k_montecarlo(
@@ -130,7 +128,7 @@ def mu_k_montecarlo(
     k-simplex value and d the top simplex's.  Its Betti-k indicator is
     1{b <= r < d}, so the inclusion-exclusion of the indicators at the four
     rectangle scales is 1{s < b <= t} * 1{u < d <= v}.  All samples are
-    drawn first and their pairs computed at once, without a complex.
+    drawn first and their pairs computed a block of samples at a time.
 
     For k = 0 the estimate is identically zero: b = 0 lies below s > 0.  For
     d = 1 and k >= 1 it is zero too: points on a line carry no k-cycle.

@@ -28,6 +28,8 @@ __all__ = [
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
+        if len(pts):  # rows without coordinates are not an empty cloud
+            raise ValueError(f"points must have d >= 1 coordinates, got shape {pts.shape}")
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
     if pts.ndim != 2:
         raise ValueError(f"points must be a (n, d) array, got shape {pts.shape}")

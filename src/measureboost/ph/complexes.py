@@ -27,13 +27,16 @@ back to the join on a cloud with a repeated point and when Qhull cannot
 be trusted with the cloud: a closest pair below sqrt(eps) times the
 bounding box diagonal, a Qhull error or a point left out (see
 `_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
-their full complex, with the top simplex sorted last.  A triangle's Cech
-value is its circumradius, or half its longest edge when it is obtuse; a
-tetrahedron's is its circumradius when its circumcenter lies in it, and
-else its largest facet's value, bit for bit, so no tetrahedron outlives a
-triangle by rounding alone.  Each dimension's kept rows and values go
-into the `FilteredComplex` as arrays, sorted stably by value: no Python
-object is made per simplex.
+their full complex, with the top simplex sorted last.  The same loop,
+`_faces`, builds the Monte-Carlo limit's complexes, each k+2-point sample
+one of its `cells`.  Rows are matched by int64 codes of their vertices,
+so a build refuses n**max_dim >= 2**63: 2**21 points at max_dim 3.  A
+triangle's Cech value is its circumradius, or half its longest edge when
+it is obtuse; a tetrahedron's is its circumradius when its circumcenter
+lies in it, and else its largest facet's value, bit for bit, so no
+tetrahedron outlives a triangle by rounding alone.  Each dimension's kept
+rows and values go into the `FilteredComplex` as arrays, sorted stably by
+value: no Python object is made per simplex.
 """
 
 from __future__ import annotations
@@ -77,27 +80,16 @@ class FilteredComplex:
         return tuple(pairs[i] for i in np.lexsort((dims, values)).tolist())  # stable: ties keep the rows' order
 
 
-def _half_norms(diffs, shape):
-    """Half the Euclidean norm of difference vectors given one coordinate
-    array at a time, summed in that order: every caller gets the same bits."""
-    values = np.zeros(shape)
-    for diff in diffs:
+def _pair_values(points, pairs):
+    """Half the distance of each pair of rows, summed one coordinate at a
+    time in that order: every caller gets the same bits."""
+    values = np.zeros(len(pairs))
+    for x in points.T:
+        diff = x[pairs[:, 0]] - x[pairs[:, 1]]
         values += np.square(diff, out=diff)
     np.sqrt(values, out=values)
     values /= 2.0
     return values
-
-
-def _half_distances(points: np.ndarray) -> np.ndarray:
-    """Half the distance between every two points of an (n, d) cloud, or of
-    each cloud of an (N, n, d) stack: no (n, n, d) difference array."""
-    diffs = (x[..., :, None] - x[..., None, :] for x in np.moveaxis(points, -1, 0))
-    return _half_norms(diffs, points.shape[:-1] + points.shape[-2:-1])
-
-
-def _pair_values(points, pairs):
-    """Half the distance of each pair of rows, as `_half_distances` has it."""
-    return _half_norms((x[pairs[:, 0]] - x[pairs[:, 1]] for x in points.T), len(pairs))
 
 
 def _diagonal(points):
@@ -247,9 +239,10 @@ def _check_budget(count, dim):
 def _edges(points, max_value, cells):
     """The kept edges as lexicographically sorted rows i < j, and their values.
 
-    The candidates are the Delaunay edges of `cells`, or every pair within
-    twice max_value (widened by a relative 1e-9 against the KD-tree's
-    rounding), counted against the budget before any is listed.
+    The candidates are the edges of `cells` (the Delaunay cells, or one cell
+    per Monte-Carlo sample), or, when cells is None, every pair within twice
+    max_value (widened by a relative 1e-9 against the KD-tree's rounding),
+    counted against the budget before any is listed.
     """
     n = len(points)
     radius = max(2.0 * max_value * (1 + 1e-9), 0.0)
@@ -275,8 +268,9 @@ def _cofaces(points, faces, values, max_value, value_fn, cells):
 
     faces holds the kept simplices of one dimension as lexicographically
     sorted rows of increasing vertex indices, values their filtration values.
-    A candidate is a face and a new vertex v above its last: the faces of the
-    Delaunay `cells` one vertex larger or, when cells is None, the face
+    A candidate is a face and a new vertex v above its last: the faces one
+    vertex larger of the `cells` (the Delaunay cells, or one cell per
+    Monte-Carlo sample) or, when cells is None, the face
     (f0, ..., fk-1) with the last vertex v of every kept face (f1, ..., fk-1,
     v), a join of the rows with themselves that lists every higher common
     neighbour.  A candidate is kept iff all of its facets were kept and its
@@ -320,6 +314,18 @@ def _cofaces(points, faces, values, max_value, value_fn, cells):
     return cand[keep], vals[keep]
 
 
+def _faces(points, top, max_value, value_fn, cells):
+    """The kept simplices of dimensions 1 .. top as sorted rows and values,
+    one dimension at a time, up to the first empty one."""
+    faces, values = _edges(points, max_value, cells)
+    yield faces, values
+    for _ in range(2, top + 1):
+        if not len(faces):
+            return
+        faces, values = _cofaces(points, faces, values, max_value, value_fn, cells)
+        yield faces, values
+
+
 def _build_filtration(points, max_dim, max_value, value_fn):
     if not 0 <= max_dim <= 3:
         raise ValueError(f"max_dim must be between 0 and 3, got {max_dim}")
@@ -327,6 +333,8 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         raise ValueError(f"max_value must be a number >= 0, got {max_value}")
     points = _as_cloud(points)
     n, d = points.shape
+    if float(n) ** max_dim >= 2.0**63:  # `_codes` of the max_dim-vertex rows would wrap
+        raise ValueError(f"{n} points are too many at max_dim {max_dim}: need n**{max_dim} < 2**63")
     verts = [np.arange(n)[:, None]] + [np.empty((0, k + 1), dtype=np.intp) for k in range(1, max_dim + 1)]
     values = [np.zeros(n)] + [np.empty(0)] * max_dim
     if n >= 2 and max_dim >= 1:
@@ -341,12 +349,7 @@ def _build_filtration(points, max_dim, max_value, value_fn):
         points = deduped
         if cells is not None:
             top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
-        faces, vals = _edges(points, max_value, cells)
-        for dim in range(1, top + 1):
-            if dim > 1:
-                if not len(faces):
-                    break
-                faces, vals = _cofaces(points, faces, vals, max_value, value_fn, cells)
+        for dim, (faces, vals) in enumerate(_faces(points, top, max_value, value_fn, cells), 1):
             # the rows are sorted, so a stable sort by value breaks ties by the rows
             order = np.argsort(vals, kind="stable")
             verts[dim], values[dim] = faces[order], vals[order]

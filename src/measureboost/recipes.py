@@ -33,7 +33,7 @@ from .limits import Rectangle, feature_matrix, mu_k_montecarlo, r_n_schedule, ra
 from .measures import LabeledDataset, Measure, mass_matrix
 from .metrics import evaluate
 from .ph import cech_filtration, persistence
-from .ph.diagrams import PersistenceDiagram, diagram_to_measure, save_diagrams_jsonl
+from .ph.diagrams import diagram_to_measure, save_diagrams_jsonl
 from .weak import ball_grid, grid_learner, kmeans_centers
 
 __all__ = ["ConfigError", "run_experiment", "emit_rectangle_trace", "RECIPES"]
@@ -525,8 +525,7 @@ def run_limit_check(cfg: dict, workers=1):
             scaled = pts / r_n
             # H_k needs simplices up to dimension k+1 only
             fc = cech_filtration(scaled, max_dim=k + 1, max_value=v_max)
-            dgms = persistence(fc)
-            dg = next((x for x in dgms if x.dim == k), PersistenceDiagram(k, np.zeros((0, 2))))
+            dg = persistence(fc)[k]
             for name, r in sorted(rects.items()):
                 xi = xi_count(dg, r, n, r_n, k, d)
                 est, se = mu_hat[name]

@@ -1,6 +1,7 @@
 """A FilteredComplex from (verts, value) pairs: the tests' way to hand an
-enumerated complex to `persistence` and `betti_oracle`; and the homology
-reduction of one boundary block, which judges the pairs `persistence` finds."""
+enumerated complex to `persistence` and `betti_oracle`; the dense matrix of
+half distances, with the builder's edge values; and the homology reduction
+of one boundary block, which judges the pairs `persistence` finds."""
 
 import numpy as np
 
@@ -15,6 +16,16 @@ def complex_of(simplices, max_dim):
         tuple(np.array([v for v, _ in g], dtype=np.intp).reshape(-1, k + 1) for k, g in enumerate(groups)),
         tuple(np.array([x for _, x in g], dtype=float) for g in groups),
     )
+
+
+def half_distances(points):
+    """Half the distance between every two points of an (n, d) cloud, or of
+    each cloud of an (N, n, d) stack, summed one coordinate at a time in that
+    order, as the builder values its edges: the same bits."""
+    values = np.zeros(points.shape[:-1] + points.shape[-2:-1])
+    for x in np.moveaxis(points, -1, 0):
+        values += np.square(x[..., :, None] - x[..., None, :])
+    return np.sqrt(values) / 2.0
 
 
 def reduce_block(rows, cols):

@@ -239,8 +239,9 @@ def test_record_without_required_field_is_input_error(tmp_path, capsys, reader, 
         ("bottleneck", '{"dim": 1, "pairs": 3}', "pairs"),
         ("ph", '{"points": [[0, "x"]], "label": 0}', "points"),
         ("ph", '{"points": [[0, 1]], "label": "a"}', "label"),
+        ("ph", '{"points": [[], [], []], "label": 0}', "points"),  # three points without coordinates
     ],
-    ids=["ph-int", "ph-null", "train-int", "bottleneck-pairs", "ph-points", "ph-label"],
+    ids=["ph-int", "ph-null", "train-int", "bottleneck-pairs", "ph-points", "ph-label", "ph-points-no-coordinates"],
 )
 def test_malformed_record_is_input_error(tmp_path, capsys, command, line, field):
     bad = tmp_path / "bad.jsonl"

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measureboost.limits import (
     Rectangle,
     _ball_volume,
+    _one_pair,
     feature_matrix,
     mu_k_montecarlo,
     r_n_schedule,
@@ -14,6 +16,7 @@ from measureboost.limits import (
 )
 from measureboost.measures import Measure
 from measureboost.ph import betti_oracle, cech_filtration
+from measureboost.ph.complexes import _ROWS, _dedup_points
 from measureboost.ph.diagrams import PersistenceDiagram
 from measureboost.regions import Ball
 
@@ -155,6 +158,34 @@ def test_mu_k_equals_the_betti_oracle_estimate(k, d):
         assert mu_k_montecarlo(1.0, k, d, rect, 300, seed) == expected
         estimates.append(expected[0])
     assert (max(estimates) > 0) == (k == 1 or (k, d) == (2, 3))
+
+
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_pair_matches_the_builders_complex_of_each_sample(k, d, n_samples, data):
+    # the stack is built with the builder's own loop, so each sample's pair
+    # has the bits of the builder's complex of that sample alone; coordinates
+    # on halves make collinear and cocircular samples
+    coord = st.one_of(st.floats(-1, 1), st.integers(-2, 2).map(lambda i: i / 2))
+    size = n_samples * (k + 2) * d
+    stack = np.array(data.draw(st.lists(coord, min_size=size, max_size=size))).reshape(n_samples, k + 2, d)
+    birth, death = _one_pair(stack)
+    for sample, b, t in zip(stack, birth.tolist(), death.tolist()):
+        if _dedup_points(sample) is not sample:
+            continue  # the builder jitters a repeated point
+        fc = cech_filtration(sample, k + 1, np.inf)
+        assert (b, t) == (fc.values[k].max(), fc.values[k + 1][0])
+
+
+def test_one_pair_of_a_stack_past_one_block():
+    # _ROWS samples make one build and the last sample a second one; the
+    # first block's 4-vertex rows are past int64 codes, the second's are not
+    stack = np.random.default_rng(0).uniform(-1, 1, size=(_ROWS + 1, 4, 3))
+    birth, death = _one_pair(stack)
+    assert birth.shape == death.shape == (_ROWS + 1,)
+    for i in (0, _ROWS - 1, _ROWS):
+        alone = _one_pair(stack[i : i + 1])
+        assert (birth[i], death[i]) == (alone[0][0], alone[1][0])
 
 
 def test_mu1_nonzero_and_seed_consistent():

@@ -19,7 +19,6 @@ from measureboost.ph.complexes import (
     _dedup_points,
     _delaunay_cells,
     _edges,
-    _half_distances,
 )
 from measureboost.ph.diagrams import (
     PersistenceDiagram,
@@ -29,7 +28,7 @@ from measureboost.ph.diagrams import (
 )
 from measureboost.ph.persistence import _coboundary_block, _union_find_block, betti_oracle
 
-from filtered import complex_of, reduce_block
+from filtered import complex_of, half_distances, reduce_block
 from membership import persistent_betti
 
 
@@ -154,7 +153,7 @@ def _tetrahedron_values(stack):
     """Each 4-point set's value as the builder values a tetrahedron, and its
     largest facet value: the circumradius rule raised to its facets' values,
     each a triangle's raised to its edges'."""
-    half = _half_distances(stack)
+    half = half_distances(stack)
     facets = np.max([
         np.maximum(_circumradius3(*stack[:, list(tri)].transpose(1, 0, 2)), half[:, tri, :][:, :, tri].max(axis=(1, 2)))
         for tri in itertools.combinations(range(4), 3)
@@ -417,7 +416,7 @@ def test_pair_search_matches_the_distance_matrix(pts, max_value, scale):
     pts = _dedup_points(pts * scale)
     max_value *= scale
     edges, values = _edges(pts, max_value, None)
-    half = _half_distances(pts)
+    half = half_distances(pts)
     i, j = np.nonzero(np.triu(half <= max_value, 1))
     assert np.array_equal(edges, np.column_stack([i, j]))
     assert np.array_equal(values, half[i, j])
@@ -531,6 +530,18 @@ def test_cell_faces_of_four_vertices_stay_exact_past_int64_codes(n, cells):
     # faces, whose codes n**4 exceed int64 from n = 55109 points on
     got = _cell_faces(np.array(cells, dtype=np.int32), 4, n)
     assert got.tolist() == sorted(cells)
+
+
+def test_builders_refuse_clouds_whose_row_codes_would_wrap():
+    # at max_dim 3 the triangles' codes n**3 pass 2**63 from n = 2**21 on.
+    # Two 4-point clusters at the ends of the ids, the rest 10 apart, make
+    # two tetrahedra, of which wrapped codes kept one
+    x = np.arange(2**21 + 8) * 10.0
+    x[:4] = [0.0, 0.1, 0.2, 0.3]
+    x[-4:] = x[-5] + 10.0 + np.array([0.0, 0.1, 0.2, 0.3])
+    for build in (rips_filtration, cech_filtration):
+        with pytest.raises(ValueError, match="too many at max_dim 3"):
+            build(x[:, None], 3, 0.2)
 
 
 def test_delaunay_cech_keeps_every_delaunay_face_at_inf():
