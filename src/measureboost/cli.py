@@ -100,7 +100,10 @@ def _load_model(path):
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise KeyError(f"{path}: a model must be a JSON object")
-    return OneVsOneModel.from_json(obj) if "models" in obj else Ensemble.from_json(obj)
+    try:
+        return OneVsOneModel.from_json(obj) if "models" in obj else Ensemble.from_json(obj)
+    except (TypeError, ValueError, AttributeError) as exc:  # a malformed file: exit 4, as a missing key
+        raise KeyError(f"{path}: malformed model: {exc}") from exc
 
 
 def _predict(args) -> int:

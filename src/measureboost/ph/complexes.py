@@ -23,20 +23,20 @@ max_dim >= 2, takes its edges and candidates from the faces of the
 Delaunay triangulation instead: the Cech and Delaunay-Cech filtrations
 have the same persistence (Bauer and Edelsbrunner, The Morse theory of
 Cech and Delaunay complexes, 2017), with far fewer simplices.  It falls
-back to the join on a cloud with a repeated point and when Qhull cannot
-be trusted with the cloud: a closest pair below sqrt(eps) times the
-bounding box diagonal, a Qhull error or a point left out (see
-`_delaunay_cells`).  Smaller clouds keep every candidate: k+2 points get
-their full complex, with the top simplex sorted last.  The same loop,
-`_faces`, builds the Monte-Carlo limit's complexes, each k+2-point sample
-one of its `cells`.  Rows are matched by int64 codes of their vertices,
-so a build refuses n**max_dim >= 2**63: 2**21 points at max_dim 3.  A
-triangle's Cech value is its circumradius, or half its longest edge when
-it is obtuse; a tetrahedron's is its circumradius when its circumcenter
-lies in it, and else its largest facet's value, bit for bit, so no
-tetrahedron outlives a triangle by rounding alone.  Each dimension's kept
-rows and values go into the `FilteredComplex` as arrays, sorted stably by
-value: no Python object is made per simplex.
+back to the join when Qhull cannot be trusted with the cloud: a closest
+pair below sqrt(eps) times the bounding box diagonal (as a repeated point
+is), a Qhull error or a point left out (see `_delaunay_cells`).  Smaller
+clouds keep every candidate: k+2 points get their full complex, with the
+top simplex sorted last.  The same loop, `_faces`, builds the Monte-Carlo
+limit's complexes, each k+2-point sample one of its `cells`.  Rows are
+matched by int64 codes of their vertices, so a build refuses
+n**max_dim >= 2**63: 2**21 points at max_dim 3.  A triangle's Cech value
+is its circumradius, or half its longest edge when it is obtuse; a
+tetrahedron's is its circumradius when its circumcenter lies in it, and
+else its largest facet's value, bit for bit, so no tetrahedron outlives a
+triangle by rounding alone.  Each dimension's kept rows and values go into
+the `FilteredComplex` as arrays, sorted stably by value: no Python object
+is made per simplex.
 """
 
 from __future__ import annotations
@@ -132,18 +132,6 @@ def _circumradius3(p0, p1, p2):
     return np.where(obtuse, 0.5 * np.sqrt(longest), circum)
 
 
-def _solve_stacked(gram, rhs):
-    """The solution of each stacked system gram x = rhs; NaN where gram is
-    singular."""
-    try:
-        return np.linalg.solve(gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # one singular matrix fails the stack: halve it
-        if len(gram) == 1:
-            return np.full(rhs.shape, np.nan)
-        half = len(gram) // 2
-        return np.concatenate([_solve_stacked(gram[:half], rhs[:half]), _solve_stacked(gram[half:], rhs[half:])])
-
-
 def _circumradius4(pts):
     """Circumradius of each tetrahedron of an (N, 4, d) stack whose
     circumcenter lies in the closed tetrahedron and whose vertices sit on
@@ -156,8 +144,14 @@ def _circumradius4(pts):
     """
     rel = pts - pts[:, :1]
     edges = rel[:, 1:]
-    alpha = _solve_stacked(edges @ edges.transpose(0, 2, 1), 0.5 * np.einsum("nij,nij->ni", edges, edges))
-    with np.errstate(invalid="ignore", over="ignore"):  # singular systems give NaN or inf, which fail both tests
+    gram = edges @ edges.transpose(0, 2, 1)
+    # solve raises on a stack if one Gram's LU meets an exact zero pivot;
+    # slogdet runs the same LU and gives those the sign 0: solved as the identity
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN or inf coordinates fail both tests
+        singular = np.linalg.slogdet(gram)[0] == 0
+        gram[singular] = np.eye(3)
+        alpha = np.linalg.solve(gram, 0.5 * np.einsum("nij,nij->ni", edges, edges)[..., None])[..., 0]
+        alpha[singular] = np.nan
         center = (alpha[:, None] @ edges)[:, 0]
         radius = np.sqrt((center[:, None] @ center[:, :, None])[:, 0, 0])
         dist = np.sqrt(np.sum((rel - center[:, None]) ** 2, axis=-1))
@@ -338,17 +332,13 @@ def _build_filtration(points, max_dim, max_value, value_fn):
     verts = [np.arange(n)[:, None]] + [np.empty((0, k + 1), dtype=np.intp) for k in range(1, max_dim + 1)]
     values = [np.zeros(n)] + [np.empty(0)] * max_dim
     if n >= 2 and max_dim >= 1:
-        deduped = _dedup_points(points)
-        cells, top = None, max_dim
-        # Cech and Delaunay-Cech filtrations have the same persistence.  Clouds
-        # with a repeated point keep every candidate: when every point is a copy
-        # of one, the jittered copies span only 1e-12 and their radii are
-        # rounding noise
-        if value_fn is not None and deduped is points and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1:
-            cells = _delaunay_cells(points)
-        points = deduped
-        if cells is not None:
-            top = min(max_dim, d)  # no Delaunay faces above the ambient dimension
+        # Cech and Delaunay-Cech filtrations have the same persistence; a cloud
+        # with a repeated point fails `_delaunay_cells`' closest-pair test
+        delaunay = value_fn is not None and 2 <= d <= 3 and max_dim >= 2 and n > max(d, max_dim) + 1
+        cells = _delaunay_cells(points) if delaunay else None
+        if cells is None:
+            points = _dedup_points(points)
+        top = max_dim if cells is None else min(max_dim, d)  # no Delaunay faces above the ambient dimension
         for dim, (faces, vals) in enumerate(_faces(points, top, max_value, value_fn, cells), 1):
             # the rows are sorted, so a stable sort by value breaks ties by the rows
             order = np.argsort(vals, kind="stable")

@@ -230,6 +230,9 @@ def _classify(cfg, n_classes, n_train, n_test, generate, workers, diagrams=None,
         if not flt["max_value"] >= 0:  # also NaN
             raise ConfigError(f"bad value for [filtration] max_value: {flt['max_value']!r} must be a number >= 0")
         diagrams = lambda clouds, w: compute_diagrams(clouds, max(flt["dims"]) + 1, flt["max_value"], w)
+    for sec, key in (("learner", "n_centers"), ("boosting", "rounds")):
+        if cfg[sec][key] < 1:
+            raise ConfigError(f"bad value for [{sec}] {key}: {cfg[sec][key]!r} must be at least 1")
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     seed = cfg["seeds"]["base"]
@@ -553,6 +556,9 @@ def run_rademacher_scaling(cfg: dict, workers=1):
     """Estimate vs sample size for the ball-mass class on unit-mass measures:
     balls of radius 0.1, 0.2 and 0.35 around the cell centers of an 8 x 8
     grid on the unit square."""
+    for key, low in (("n_draws", 2), ("sizes", 1)):  # every size
+        if np.min(cfg["data"][key], initial=low) < low:
+            raise ConfigError(f"bad value for [data] {key}: {cfg['data'][key]!r} must be at least {low}")
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     base = cfg["seeds"]["base"]

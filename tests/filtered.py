@@ -1,7 +1,8 @@
 """A FilteredComplex from (verts, value) pairs: the tests' way to hand an
 enumerated complex to `persistence` and `betti_oracle`; the dense matrix of
-half distances, with the builder's edge values; and the homology reduction
-of one boundary block, which judges the pairs `persistence` finds."""
+half distances, with the builder's edge values; the tetrahedron rule with
+each Gram system solved alone; and the homology reduction of one boundary
+block, which judges the pairs `persistence` finds."""
 
 import numpy as np
 
@@ -26,6 +27,28 @@ def half_distances(points):
     for x in np.moveaxis(points, -1, 0):
         values += np.square(x[..., :, None] - x[..., None, :])
     return np.sqrt(values) / 2.0
+
+
+def circumradius4_by_row(pts):
+    """The builder's tetrahedron rule (`_circumradius4`) on an (N, 4, d)
+    stack, each Gram system solved alone and given NaN coordinates where
+    np.linalg.solve raises: the reference of the builder's one masked solve."""
+    rel = pts - pts[:, :1]
+    edges = rel[:, 1:]
+    gram, rhs = edges @ edges.transpose(0, 2, 1), 0.5 * np.einsum("nij,nij->ni", edges, edges)
+    alpha = np.full(rhs.shape, np.nan)
+    for i in range(len(pts)):
+        try:
+            alpha[i] = np.linalg.solve(gram[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            pass
+    with np.errstate(invalid="ignore", over="ignore"):  # the same stacked arithmetic as the builder's
+        center = (alpha[:, None] @ edges)[:, 0]
+        radius = np.sqrt((center[:, None] @ center[:, :, None])[:, 0, 0])
+        dist = np.sqrt(np.sum((rel - center[:, None]) ** 2, axis=-1))
+        inside = np.all(alpha >= 0, axis=1) & (alpha.sum(axis=1) <= 1)
+        on_sphere = np.all(np.abs(dist - radius[:, None]) <= 1e-9 * radius[:, None], axis=1)
+    return np.where(inside & on_sphere, radius, 0.0)
 
 
 def reduce_block(rows, cols):

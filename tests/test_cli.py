@@ -151,6 +151,11 @@ def test_default_only_config_is_config_error(tmp_path, capsys):
         ("ppp-vs-gpp", "[filtration]\nmax_value = nan\n", "[filtration] max_value", "nan"),
         ("limit-check", "[setup]\nname = disk\n", "[setup] name", "'disk'"),
         ("limit-check", "[rectangles]\nr1 = 0.5 1.0 2.0\n", "[rectangles] r1", "(0.5, 1.0, 2.0)"),
+        # values the run would refuse later, after writing to the output directory
+        ("rademacher-scaling", "[data]\nn_draws = 1\n", "[data] n_draws", "1 must be at least 2"),
+        ("rademacher-scaling", "[data]\nsizes = 0 10\n", "[data] sizes", "(0, 10)"),
+        ("ppp-vs-gpp", "[data]\nn_train = 2\nn_test = 2\n\n[boosting]\nrounds = 0\n", "[boosting] rounds", "0 must be at least 1"),
+        ("ppp-vs-gpp", "[data]\nn_train = 2\nn_test = 2\n\n[learner]\nn_centers = 0\n", "[learner] n_centers", "0 must be at least 1"),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, capsys, recipe, text, key, raw):
@@ -437,16 +442,49 @@ def test_bad_model_json_is_io_error(tmp_path):
                 "--out", str(tmp_path / "p.jsonl")]) == 4
 
 
-@pytest.mark.parametrize("command", ["predict", "eval"])
-def test_model_that_is_not_an_object_is_io_error(tmp_path, capsys, command):
-    model = tmp_path / "model.json"
-    model.write_text("[1, 2]")
+# a one-stage model of the dims-0 feature plane, as model.json text
+_CLASSIFIER = '{"region": {"type": "ball", "center": [0.0, 0.5], "radius": 0.3}, "threshold": 0.1, "sign": 1}'
+_MODEL = '{"labels": [0, 1], "stages": [{"classifier": %s, "alpha": 0.5}]}' % _CLASSIFIER
+
+
+@pytest.mark.parametrize(
+    "command, model, message",
+    [
+        pytest.param("predict", "[1, 2]", "a model must be a JSON object", id="predict"),
+        pytest.param("eval", "[1, 2]", "a model must be a JSON object", id="eval"),
+        # a JSON object that does not decode to a model is malformed too
+        pytest.param("eval", _MODEL.replace(_CLASSIFIER, "5"), "malformed model", id="eval-classifier-5"),
+        pytest.param("eval", '{"labels": [0, 1], "stages": 5}', "malformed model", id="eval-stages-5"),
+        pytest.param("eval", _MODEL.replace('{"type"', '[{"type"').replace("0.3}", "0.3}]"), "malformed model",
+                     id="eval-region-list"),
+        pytest.param("eval", _MODEL.replace("[0, 1]", "3"), "malformed model", id="eval-labels-3"),
+        pytest.param("eval", '{"models": [1, 2]}', "malformed model", id="eval-models-list"),
+        pytest.param("eval", _MODEL.replace('"sign": 1', '"sign": "x"'), "malformed model", id="eval-sign-x"),
+        pytest.param("eval", _MODEL.replace("[0.0, 0.5]", '"ab"'), "malformed model", id="eval-center-ab"),
+        pytest.param("eval", '{"labels": [0, 1], "stages": []}', "malformed model", id="eval-no-stages"),
+    ],
+)
+def test_model_that_is_not_an_object_is_io_error(tmp_path, capsys, command, model, message):
+    path = tmp_path / "model.json"
+    path.write_text(model)
     dgms = tmp_path / "dg.jsonl"
     dgms.write_text(json.dumps({"dim": 0, "pairs": [[0, 0.5]], "cloud": 0, "label": 0}) + "\n")
     out = tmp_path / "out.json"
-    assert run([command, "--model", str(model), "--input", str(dgms), "--out", str(out), "--dims", "0"]) == 4
-    assert "a model must be a JSON object" in capsys.readouterr().err
+    assert run([command, "--model", str(path), "--input", str(dgms), "--out", str(out), "--dims", "0"]) == 4
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
     assert not out.exists()
+
+
+def test_model_of_other_dimension_is_computation_error(tmp_path, capsys):
+    # a well-formed model whose balls do not live in the features' space
+    # fails when it is applied, not when it is read
+    path = tmp_path / "model.json"
+    path.write_text(_MODEL.replace("[0.0, 0.5]", "[0.0, 0.5, 1.0]"))
+    dgms = tmp_path / "dg.jsonl"
+    dgms.write_text(json.dumps({"dim": 0, "pairs": [[0, 0.5]], "cloud": 0, "label": 0}) + "\n")
+    assert run(["eval", "--model", str(path), "--input", str(dgms), "--dims", "0"]) == 5
+    assert "dimension mismatch" in capsys.readouterr().err
 
 
 def _ph_peak(tmp_path, pts, *options):

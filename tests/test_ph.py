@@ -11,11 +11,12 @@ from measureboost import graphs
 from measureboost.datagen import sample_sphere, sample_torus
 from measureboost.limits import r_n_schedule
 from measureboost.measures import Measure
-from measureboost.ph import cech_filtration, persistence, rips_filtration
+from measureboost.ph import cech_filtration, complexes, persistence, rips_filtration
 from measureboost.ph.complexes import (
     _cech_value,
     _cell_faces,
     _circumradius3,
+    _circumradius4,
     _dedup_points,
     _delaunay_cells,
     _edges,
@@ -28,7 +29,7 @@ from measureboost.ph.diagrams import (
 )
 from measureboost.ph.persistence import _coboundary_block, _union_find_block, betti_oracle
 
-from filtered import complex_of, half_distances, reduce_block
+from filtered import circumradius4_by_row, complex_of, half_distances, reduce_block
 from membership import persistent_betti
 
 
@@ -186,6 +187,27 @@ def test_batched_miniball_matches_subset_enumeration(stack):
             (other,) = set(range(4)) - set(tri)
             if np.linalg.norm(pts[other] - center) <= r * (1 - 1e-9):  # inside, not within rounding of the sphere
                 assert value == facet
+
+
+@given(four_point_sets())
+@settings(max_examples=300, deadline=None)
+def test_masked_solve_matches_solving_each_row_alone(stack):
+    # the singular Gram systems are masked before one stacked solve: every
+    # row gets the bits of its own solve, and NaN where that solve raises
+    stack = np.concatenate([stack, np.repeat(stack[:1, :1], 4, axis=1)])  # a singular row in every stack
+    assert np.array_equal(_circumradius4(stack), circumradius4_by_row(stack))
+
+
+def test_tetrahedron_block_takes_one_solve(monkeypatch):
+    # every tetrahedron holds the repeated point twice: its Gram system is
+    # singular, and still each block of _ROWS rows costs one solve
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(len(args[0])) or solve(*args))
+    monkeypatch.setattr(complexes, "_ROWS", 4)
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tetrahedra = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4]] * 3)
+    assert np.array_equal(_cech_value(points, tetrahedra), np.zeros(9))
+    assert calls == [4, 4, 1]
 
 
 def test_miniball_tiny_cluster_far_from_origin():
